@@ -3,7 +3,7 @@
 //! Usage: `experiments [all | <id> ...]`; with no arguments, lists the ids.
 //!
 //! The ambient engine comes from the environment (`DECO_ENGINE_*`,
-//! `DECO_SHARD_TRANSPORT`) via [`Runtime::from_env`]; a malformed variable
+//! `DECO_TRACE`) via [`Runtime::from_env`]; a malformed variable
 //! is reported to stderr — naming the variable and the offending value —
 //! and the harness exits instead of silently running on an engine nobody
 //! pinned.

@@ -35,7 +35,6 @@
 
 use crate::session::UpdateReport;
 use crate::solver::{RunReport, SolveError, SolveStats};
-use deco_engine::shard::framed::ShardFailure;
 use deco_graph::coloring::EdgeColoring;
 use deco_graph::EdgeUpdate;
 use deco_trace::json::{Fields, ObjectWriter};
@@ -281,20 +280,6 @@ pub fn write_solve_error_fields(w: &mut ObjectWriter, err: &SolveError) {
                 .u64("depth", u64::from(depth))
                 .u64("limit", u64::from(limit));
         }
-        SolveError::ShardFailed { shard, cause } => {
-            w.string("error", "shard_failed").u64("shard", shard as u64);
-            match cause {
-                ShardFailure::Timeout { budget_ms } => {
-                    w.string("cause", "timeout").u64("budget_ms", budget_ms);
-                }
-                ShardFailure::Disconnected => {
-                    w.string("cause", "disconnected");
-                }
-                ShardFailure::Malformed => {
-                    w.string("cause", "malformed");
-                }
-            }
-        }
     }
 }
 
@@ -309,19 +294,6 @@ pub fn solve_error_from_fields(fields: &Fields) -> Result<SolveError, String> {
             depth: parse_u32(fields, "depth")?,
             limit: parse_u32(fields, "limit")?,
         }),
-        "shard_failed" => {
-            let shard = usize::try_from(fields.u64("shard")?)
-                .map_err(|_| "field \"shard\" out of range".to_string())?;
-            let cause = match fields.str("cause")? {
-                "timeout" => ShardFailure::Timeout {
-                    budget_ms: fields.u64("budget_ms")?,
-                },
-                "disconnected" => ShardFailure::Disconnected,
-                "malformed" => ShardFailure::Malformed,
-                other => return Err(format!("unknown shard failure cause {other:?}")),
-            };
-            Ok(SolveError::ShardFailed { shard, cause })
-        }
         other => Err(format!("unknown solve error {other:?}")),
     }
 }
@@ -488,17 +460,10 @@ mod tests {
     fn solve_errors_round_trip_exactly() {
         let errors = [
             SolveError::DepthExceeded { depth: 9, limit: 8 },
-            SolveError::ShardFailed {
-                shard: 2,
-                cause: ShardFailure::Timeout { budget_ms: 5000 },
-            },
-            SolveError::ShardFailed {
-                shard: 0,
-                cause: ShardFailure::Disconnected,
-            },
-            SolveError::ShardFailed {
-                shard: 3,
-                cause: ShardFailure::Malformed,
+            SolveError::DepthExceeded { depth: 0, limit: 0 },
+            SolveError::DepthExceeded {
+                depth: u32::MAX,
+                limit: 256,
             },
         ];
         for err in errors {
@@ -529,8 +494,8 @@ mod tests {
             ),
             (
                 sol,
-                "{\"kind\":\"solve_error\",\"error\":\"shard_failed\",\"shard\":1,\"cause\":\"cosmic\"}",
-                "unknown shard failure cause",
+                "{\"kind\":\"solve_error\",\"error\":\"shard_failed\",\"shard\":1}",
+                "unknown solve error",
             ),
         ] {
             let err = parse(line).expect("parse must fail");

@@ -20,7 +20,6 @@
 //! differential suite in `tests/` runs every scenario of the matrix on both
 //! executors and demands equal outputs, round counts, and message counts.
 
-use crate::config::EngineEnvError;
 use crate::mailbox::{DoubleBuffer, MailboxPlan};
 use crate::par::{split_by_weight, split_mut_by_ranges};
 use deco_local::arena::PortArena;
@@ -111,36 +110,6 @@ impl ParallelExecutor {
     /// hardware default).
     pub fn threads(&self) -> usize {
         self.threads
-    }
-
-    /// Reads the thread count from the `DECO_ENGINE_THREADS` environment
-    /// variable (unset, empty, or `0` means [`ParallelExecutor::auto`])
-    /// and the round substrate from `DECO_ENGINE_ASYNC` (unset, empty, or
-    /// `0` means [`EngineMode::Barrier`]; `1` means [`EngineMode::Async`]).
-    /// This is how CI pins the engine across its threads × mode test
-    /// matrix without touching test code. See [`crate::config`] for the
-    /// full variable reference, including `DECO_ENGINE_SHARDS` (this
-    /// constructor deliberately ignores sharding —
-    /// [`crate::config::EngineSelection::from_env`] is the entry point
-    /// that honors all three).
-    ///
-    /// # Errors
-    ///
-    /// Returns the structured [`EngineEnvError`] naming the variable and
-    /// the offending value — a typo must fail loudly, never silently
-    /// un-pin the matrix, and callers decide whether that is a panic or a
-    /// report.
-    pub fn from_env() -> Result<ParallelExecutor, EngineEnvError> {
-        let cfg = crate::config::EngineConfig {
-            shards: 0,
-            ..crate::config::EngineConfig::from_env()?
-        };
-        match cfg.selection() {
-            crate::config::EngineSelection::Parallel(exec) => Ok(exec),
-            crate::config::EngineSelection::Sharded(_) => {
-                unreachable!("shards pinned to 0 above")
-            }
-        }
     }
 
     /// The barrier-free executor carrying this executor's thread request,
@@ -555,22 +524,6 @@ mod tests {
         let empty: Vec<u32> = exec.execute_branches(&[], |_| unreachable!());
         assert!(empty.is_empty());
         assert_eq!(exec.execute_branches(&[5], |i| i + 1), vec![1]);
-    }
-
-    #[test]
-    fn from_env_defaults_to_auto() {
-        // The test environment does not set the variables, so from_env()
-        // must fall back to auto barrier mode. (Value-driven behavior is
-        // covered by the CI matrix, which exports DECO_ENGINE_THREADS and
-        // DECO_ENGINE_ASYNC across its cells; malformed-value behavior is
-        // covered by the pure parsers in crate::config.)
-        if std::env::var("DECO_ENGINE_THREADS").is_err()
-            && std::env::var("DECO_ENGINE_ASYNC").is_err()
-        {
-            let exec = ParallelExecutor::from_env().expect("clean environment parses");
-            assert_eq!(exec, ParallelExecutor::auto());
-            assert_eq!(exec.mode(), EngineMode::Barrier);
-        }
     }
 
     #[test]

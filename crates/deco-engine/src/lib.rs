@@ -26,19 +26,17 @@
 //!   network into degree-balanced shards, cut edges surface as ghost
 //!   ports fed by a per-round cut exchange, and
 //!   [`shard::ShardedExecutor`] runs the whole thing as a drop-in
-//!   [`Executor`]. The [`shard::framed`] layer speaks the same roles over
-//!   length-prefixed byte frames through in-process channels or
-//!   `deco-shardd` subprocesses — true multi-process execution behind the
-//!   same observational contract.
+//!   [`Executor`] on in-process shard threads.
 //! * [`scenario`] — the scenario matrix: graph families × sizes ×
 //!   ID-assignment flavors enumerated from one base seed, with per-scenario
 //!   named RNG streams (ixa-style), so sweeps and benchmarks share one
 //!   declared source of workloads.
 //! * [`protocols`] — stock substrate-stressing protocols used by the
 //!   differential suite and the benches.
-//! * [`config`] — structured parsing of the `DECO_ENGINE_*` environment
-//!   variables CI pins its executor matrix with; malformed values are
-//!   [`config::EngineEnvError`] values, never silent fallbacks.
+//! * [`config`] — the names and pure parsers of the `DECO_ENGINE_*` /
+//!   `DECO_TRACE` environment variables CI pins its executor matrix with
+//!   (read by `deco_runtime::RuntimeBuilder::from_env`); malformed values
+//!   are [`config::EngineEnvError`] values, never silent fallbacks.
 //!
 //! Threading is built on `std::thread::scope` (the build environment has no
 //! crates.io access, so `rayon` is unavailable; see `par.rs` for the exact
@@ -59,7 +57,7 @@ pub mod shard;
 
 pub use async_engine::{AsyncExecutor, AsyncStats};
 pub use clock::RoundClock;
-pub use config::{EngineConfig, EngineEnvError, EngineSelection, ShardTransportKind};
+pub use config::EngineEnvError;
 pub use engine::{EngineMode, ParallelExecutor};
 pub use mailbox::MailboxPlan;
 pub use scenario::{GraphSpec, IdFlavor, Scenario, ScenarioMatrix};

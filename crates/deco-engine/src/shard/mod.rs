@@ -1,8 +1,7 @@
 //! Sharded execution: the network partitioned into degree-balanced shards
 //! with a cross-shard mailbox exchange.
 //!
-//! This is the scaling step past one process's worth of threads: a
-//! [`ShardPlan`] cuts the node space into contiguous shards (same
+//! A [`ShardPlan`] cuts the node space into contiguous shards (same
 //! `split_by_weight` balance as the thread engines), every shard runs its
 //! own programs against its own slice of the mailbox arena, and only the
 //! **cut edges** — edges whose endpoints live in different shards — ever
@@ -13,45 +12,24 @@
 //! cross edges, so the cut traffic per round is exactly the cut ports, and
 //! everything else is shard-private.
 //!
-//! Two layers live here:
-//!
-//! * [`ShardedExecutor`] — the in-process sharded engine, a drop-in
-//!   [`Executor`]: one worker thread per shard, boundary messages swapped
-//!   through two-round parity buffers, and shard progress coordinated by a
-//!   shard-level round clock with the same depth-1 lookahead invariant the
-//!   barrier-free engine uses per node (a shard publishes round `r` only
-//!   after every other unfinished shard consumed round `r − 2`, so adjacent
-//!   shards drift by at most one completed round and two parity buffers per
-//!   boundary suffice). Because every entry point in the algorithm stack
-//!   takes the unified runtime handle (whose engine is an [`Executor`]),
-//!   the whole pipeline — Linial, Luby, the Theorem 4.1 solver — runs
-//!   sharded unchanged, and the four-way differential suite holds it to
-//!   the serial runner's outputs, rounds, messages, and errors bit for
-//!   bit.
-//! * [`framed`] — the same shard roles spoken over **byte frames** through
-//!   a [`framed::ShardTransport`]: an in-process channel transport (the
-//!   default — testable on a 1-CPU container), a subprocess transport that
-//!   spawns one `deco-shardd` worker process per shard over stdio, and the
-//!   socket transports in [`net`] (TCP and Unix-domain — the multi-host
-//!   shape, where `deco-shardd --connect` dials in to the coordinator).
-//!   All transports run the identical per-shard round code (the private
-//!   `worker` module), which is what makes them interchangeable. The
-//!   framed coordinator is hardened for a lossy world — per-frame
-//!   deadlines, idempotent retransmission, structured
-//!   [`framed::ShardFailed`] errors — and [`fault`] provides the
-//!   deterministic fault-injection decorator the `shard_faults` suite
-//!   drives to prove it.
+//! [`ShardedExecutor`] is the in-process sharded engine, a drop-in
+//! [`Executor`]: one worker thread per shard, boundary messages swapped
+//! through two-round parity buffers, and shard progress coordinated by a
+//! shard-level round clock with the same depth-1 lookahead invariant the
+//! barrier-free engine uses per node (a shard publishes round `r` only
+//! after every other unfinished shard consumed round `r − 2`, so adjacent
+//! shards drift by at most one completed round and two parity buffers per
+//! boundary suffice). Because every entry point in the algorithm stack
+//! takes the unified runtime handle (whose engine is an [`Executor`]), the
+//! whole pipeline — Linial, Luby, the Theorem 4.1 solver — runs sharded
+//! unchanged, and the four-way differential suite holds it to the serial
+//! runner's outputs, rounds, messages, and errors bit for bit.
 
-pub mod fault;
-pub mod framed;
-pub mod net;
 pub mod plan;
-pub mod wire;
 mod worker;
 
 pub use plan::ShardPlan;
 
-use crate::config::ShardTransportKind;
 use deco_local::arena::PortArena;
 use deco_local::network::Network;
 use deco_local::runner::{NodeProgram, Protocol, RunError, RunOutcome};
@@ -83,7 +61,6 @@ type ParityRing<M> = Mutex<[PortArena<M>; 2]>;
 pub struct ShardedExecutor {
     shards: usize,
     threads_per_shard: usize,
-    transport: ShardTransportKind,
 }
 
 impl ShardedExecutor {
@@ -98,7 +75,6 @@ impl ShardedExecutor {
         ShardedExecutor {
             shards,
             threads_per_shard: 1,
-            transport: ShardTransportKind::Threads,
         }
     }
 
@@ -126,26 +102,6 @@ impl ShardedExecutor {
     #[inline]
     pub fn threads_per_shard(&self) -> usize {
         self.threads_per_shard
-    }
-
-    /// This executor tagged with a cross-shard transport preference.
-    ///
-    /// [`Executor::execute`] always runs the typed in-process substrate —
-    /// arbitrary protocols carry arbitrary Rust message types, which no
-    /// byte pipe can receive — so the tag does not change how *this*
-    /// executor runs. It is configuration the framed entry points
-    /// ([`framed::run_framed`] over named [`framed::ProtocolSpec`]s) and
-    /// descriptors consume: experiment reports and the CI matrix attribute
-    /// framed measurements to the pipe recorded here.
-    pub fn with_transport(self, transport: ShardTransportKind) -> ShardedExecutor {
-        ShardedExecutor { transport, ..self }
-    }
-
-    /// The cross-shard transport preference (see
-    /// [`ShardedExecutor::with_transport`]).
-    #[inline]
-    pub fn transport(&self) -> ShardTransportKind {
-        self.transport
     }
 }
 

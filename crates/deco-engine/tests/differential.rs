@@ -11,67 +11,70 @@
 
 use deco_engine::protocols::{FloodMax, PortEcho, StaggeredSum};
 use deco_engine::{
-    EngineMode, EngineSelection, Executor, ParallelExecutor, ScenarioMatrix, SerialExecutor,
-    ShardedExecutor,
+    EngineMode, Executor, ParallelExecutor, ScenarioMatrix, SerialExecutor, ShardedExecutor,
 };
 use deco_local::network::{IdAssignment, Network};
-use deco_local::runner::{NodeProgram, Protocol, RunOutcome};
+use deco_local::runner::{NodeProgram, Protocol, RunError, RunOutcome};
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 4];
 const SHARD_COUNTS: [usize; 3] = [1, 2, 4];
 const THREADS_PER_SHARD: [usize; 2] = [1, 2];
 
-/// The engine lineup every differential run exercises: barrier and async
-/// modes at each pinned thread count, the sharded engine at each shard ×
-/// threads-per-shard combination, plus the CI-pinned env executor
-/// (`DECO_ENGINE_THREADS` × `DECO_ENGINE_ASYNC` × `DECO_ENGINE_SHARDS`;
-/// auto barrier when unset), so the workflow's matrix reaches every run.
-fn engine_lineup() -> Vec<(String, EngineSelection)> {
-    let mut executors: Vec<(String, EngineSelection)> = Vec::new();
+/// Barrier and async modes at each pinned thread count.
+fn parallel_lineup() -> Vec<(String, ParallelExecutor)> {
+    let mut executors = Vec::new();
     for &t in &THREAD_COUNTS {
-        executors.push((
-            format!("barrier/t={t}"),
-            EngineSelection::Parallel(ParallelExecutor::with_threads(t)),
-        ));
+        executors.push((format!("barrier/t={t}"), ParallelExecutor::with_threads(t)));
         executors.push((
             format!("async/t={t}"),
-            EngineSelection::Parallel(
-                ParallelExecutor::with_threads(t).with_mode(EngineMode::Async),
-            ),
+            ParallelExecutor::with_threads(t).with_mode(EngineMode::Async),
         ));
     }
+    executors
+}
+
+/// The sharded engine at each shard × threads-per-shard combination.
+/// Together with [`parallel_lineup`] this covers every cell the CI engine
+/// matrix pins.
+fn sharded_lineup() -> Vec<(String, ShardedExecutor)> {
+    let mut executors = Vec::new();
     for &s in &SHARD_COUNTS {
         for &t in &THREADS_PER_SHARD {
             executors.push((
                 format!("shard/s={s}/t={t}"),
-                EngineSelection::Sharded(ShardedExecutor::new(s).with_threads_per_shard(t)),
+                ShardedExecutor::new(s).with_threads_per_shard(t),
             ));
         }
     }
-    executors.push((
-        "env".to_string(),
-        EngineSelection::from_env().expect("engine env vars parse"),
-    ));
     executors
 }
 
-fn assert_identical<O>(name: &str, serial: &RunOutcome<O>, engine: &RunOutcome<O>)
-where
+/// Demands that one engine run matches the serial run: identical outcomes,
+/// or identical errors.
+fn assert_identical<O>(
+    name: &str,
+    serial: &Result<RunOutcome<O>, RunError>,
+    engine: &Result<RunOutcome<O>, RunError>,
+) where
     O: PartialEq + std::fmt::Debug,
 {
-    assert_eq!(serial.outputs, engine.outputs, "[{name}] outputs diverge");
-    assert_eq!(
-        serial.rounds, engine.rounds,
-        "[{name}] round counts diverge"
-    );
-    assert_eq!(
-        serial.messages, engine.messages,
-        "[{name}] message counts diverge"
-    );
+    match (serial, engine) {
+        (Ok(s), Ok(e)) => {
+            assert_eq!(s.outputs, e.outputs, "[{name}] outputs diverge");
+            assert_eq!(s.rounds, e.rounds, "[{name}] round counts diverge");
+            assert_eq!(s.messages, e.messages, "[{name}] message counts diverge");
+        }
+        (Err(se), Err(ee)) => assert_eq!(se, ee, "[{name}] errors diverge"),
+        (s, e) => panic!(
+            "[{name}] one executor failed: serial ok={} engine ok={}",
+            s.is_ok(),
+            e.is_ok()
+        ),
+    }
 }
 
-/// Runs one protocol on one network under serial + engine(threads…) and
-/// demands identical observable behavior.
+/// Runs one protocol on one network under serial + every engine of the
+/// lineup and demands identical observable behavior.
 fn differential<P>(name: &str, net: &Network<'_>, protocol: &P, max_rounds: u64)
 where
     P: Protocol,
@@ -80,19 +83,13 @@ where
     <P::Program as NodeProgram>::Output: Send + PartialEq + std::fmt::Debug,
 {
     let serial = SerialExecutor.execute(net, protocol, max_rounds);
-    for (label, exec) in engine_lineup() {
+    for (label, exec) in parallel_lineup() {
         let engine = exec.execute(net, protocol, max_rounds);
-        match (&serial, &engine) {
-            (Ok(s), Ok(e)) => assert_identical(&format!("{name} {label}"), s, e),
-            (Err(se), Err(ee)) => {
-                assert_eq!(se, ee, "[{name} {label}] errors diverge")
-            }
-            (s, e) => panic!(
-                "[{name} {label}] one executor failed: serial ok={} engine ok={}",
-                s.is_ok(),
-                e.is_ok()
-            ),
-        }
+        assert_identical(&format!("{name} {label}"), &serial, &engine);
+    }
+    for (label, exec) in sharded_lineup() {
+        let engine = exec.execute(net, protocol, max_rounds);
+        assert_identical(&format!("{name} {label}"), &serial, &engine);
     }
 }
 

@@ -1,79 +1,10 @@
-//! Sharded-engine integration suite.
-//!
-//! Three layers of protection around the shard subsystem:
-//!
-//! 1. **Pinned partition digests** — one [`ShardPlan::digest`] per scenario
-//!    family × shard count. The partitioner is a pure function of graph and
-//!    shard count; a digest shift means every sharded differential sweep
-//!    silently runs a different partition, so shifts must be deliberate
-//!    (bump the constants in the same commit that changes the partitioner).
-//! 2. **Framed transport differentials** — the framed coordinator/worker
-//!    protocol over every framed transport (in-process channel, the
-//!    `deco-shardd` subprocess pipe, TCP dial-in, Unix-domain dial-in) must
-//!    reproduce the serial runner bit for bit (outputs, rounds, messages,
-//!    errors) at 1/2/4 shards × 1/2 threads per shard.
-//!    `DECO_SHARD_TRANSPORT` (`channel` / `process` / `tcp` / `uds`, unset
-//!    = all) narrows the sweep so CI can attribute failures to a transport.
-//! 3. **Cross-transport agreement** — every pair of transports running the
-//!    same workload must agree with each other exactly, byte accounting
-//!    included (they run the same worker code over the same frames; this
-//!    pins that claim).
+//! Pinned partition digests: one [`ShardPlan::digest`] per scenario
+//! family × shard count. The partitioner is a pure function of graph and
+//! shard count; a digest shift means every sharded differential sweep
+//! silently runs a different partition, so shifts must be deliberate (bump
+//! the constants in the same commit that changes the partitioner).
 
-use deco_engine::protocols::{FloodMax, PortEcho, StaggeredSum};
-use deco_engine::shard::framed::{
-    run_framed, ChannelTransport, FramedError, FramedRun, ProcessTransport, ProtocolSpec,
-    ShardTransport,
-};
-use deco_engine::shard::net::TcpTransport;
-#[cfg(unix)]
-use deco_engine::shard::net::UdsTransport;
-use deco_engine::{Executor, GraphSpec, IdFlavor, Scenario, SerialExecutor, ShardPlan};
-use deco_local::network::Network;
-use deco_local::runner::{RunError, RunOutcome};
-
-/// The worker binary built alongside this test crate.
-fn shardd_bin() -> &'static str {
-    env!("CARGO_BIN_EXE_deco-shardd")
-}
-
-/// Which framed transports this process should exercise.
-#[derive(Debug, Clone, Copy)]
-struct Enabled {
-    channel: bool,
-    process: bool,
-    tcp: bool,
-    uds: bool,
-}
-
-/// `DECO_SHARD_TRANSPORT` narrows CI matrix legs; unset — or `threads`,
-/// which names the typed in-process substrate every other suite already
-/// covers — runs all four framed transports. Parsing goes through the same
-/// [`deco_engine::config::parse_transport`] the runtime facade uses, so a
-/// typo in a CI matrix cell fails loudly with the variable name and the
-/// offending value instead of silently widening the leg.
-fn transports_enabled() -> Enabled {
-    let all = Enabled {
-        channel: true,
-        process: true,
-        tcp: true,
-        uds: cfg!(unix),
-    };
-    let only = |kind: deco_engine::ShardTransportKind| Enabled {
-        channel: kind == deco_engine::ShardTransportKind::Channel,
-        process: kind == deco_engine::ShardTransportKind::Process,
-        tcp: kind == deco_engine::ShardTransportKind::Tcp,
-        uds: kind == deco_engine::ShardTransportKind::Uds && cfg!(unix),
-    };
-    match std::env::var("DECO_SHARD_TRANSPORT") {
-        Err(_) => all,
-        Ok(raw) => match deco_engine::config::parse_transport(&raw).unwrap_or_else(|e| {
-            panic!("{e}");
-        }) {
-            deco_engine::ShardTransportKind::Threads => all,
-            kind => only(kind),
-        },
-    }
-}
+use deco_engine::{GraphSpec, IdFlavor, Scenario, ShardPlan};
 
 #[test]
 fn partition_digests_are_pinned_per_family() {
@@ -140,289 +71,5 @@ fn partition_digests_are_pinned_per_family() {
             "partition digest shifted for {} at {shards} shards",
             spec.label()
         );
-    }
-}
-
-fn serial_oracle(
-    net: &Network<'_>,
-    spec: ProtocolSpec,
-    max_rounds: u64,
-) -> Result<RunOutcome<u64>, RunError> {
-    match spec {
-        ProtocolSpec::FloodMax { radius } => {
-            SerialExecutor.execute(net, &FloodMax { radius }, max_rounds)
-        }
-        ProtocolSpec::PortEcho { rounds } => {
-            SerialExecutor.execute(net, &PortEcho { rounds }, max_rounds)
-        }
-        ProtocolSpec::StaggeredSum { spread } => {
-            SerialExecutor.execute(net, &StaggeredSum { spread }, max_rounds)
-        }
-    }
-}
-
-fn framed_result<T: ShardTransport>(
-    transport: &T,
-    g: &deco_graph::Graph,
-    ids: &[u64],
-    spec: ProtocolSpec,
-    shards: usize,
-    threads: usize,
-    max_rounds: u64,
-) -> Result<FramedRun, RunError> {
-    match run_framed(transport, g, ids, spec, shards, threads, max_rounds) {
-        Ok(run) => Ok(run),
-        Err(FramedError::Run(e)) => Err(e),
-        Err(FramedError::Shard(e)) => panic!("[{}] {e}", transport.label()),
-        Err(FramedError::Io(e)) => panic!("[{}] transport failed: {e}", transport.label()),
-    }
-}
-
-/// Runs `spec` over the scenario on every enabled transport at the given
-/// shard/thread grid and demands serial-identical observables.
-fn framed_differential(scenario: &Scenario, spec: ProtocolSpec, max_rounds: u64) {
-    let g = scenario.graph();
-    let net = scenario.network(&g);
-    let ids = net.ids().to_vec();
-    let serial = serial_oracle(&net, spec, max_rounds);
-    let enabled = transports_enabled();
-    for &shards in &[1usize, 2, 4] {
-        for &threads in &[1usize, 2] {
-            let mut runs: Vec<(String, Result<FramedRun, RunError>)> = Vec::new();
-            if enabled.channel {
-                runs.push((
-                    "channel".into(),
-                    framed_result(
-                        &ChannelTransport,
-                        &g,
-                        &ids,
-                        spec,
-                        shards,
-                        threads,
-                        max_rounds,
-                    ),
-                ));
-            }
-            if enabled.process {
-                runs.push((
-                    "process".into(),
-                    framed_result(
-                        &ProcessTransport::new(shardd_bin()),
-                        &g,
-                        &ids,
-                        spec,
-                        shards,
-                        threads,
-                        max_rounds,
-                    ),
-                ));
-            }
-            if enabled.tcp {
-                runs.push((
-                    "tcp".into(),
-                    framed_result(
-                        &TcpTransport::spawn(shardd_bin()),
-                        &g,
-                        &ids,
-                        spec,
-                        shards,
-                        threads,
-                        max_rounds,
-                    ),
-                ));
-            }
-            #[cfg(unix)]
-            if enabled.uds {
-                runs.push((
-                    "uds".into(),
-                    framed_result(
-                        &UdsTransport::spawn(shardd_bin()),
-                        &g,
-                        &ids,
-                        spec,
-                        shards,
-                        threads,
-                        max_rounds,
-                    ),
-                ));
-            }
-            for (label, run) in &runs {
-                let name = format!(
-                    "{}/{} {label} s={shards} t={threads}",
-                    scenario.name,
-                    spec.label()
-                );
-                match (&serial, run) {
-                    (Ok(s), Ok(r)) => {
-                        assert_eq!(s.outputs, r.outcome.outputs, "[{name}] outputs diverge");
-                        assert_eq!(s.rounds, r.outcome.rounds, "[{name}] rounds diverge");
-                        assert_eq!(s.messages, r.outcome.messages, "[{name}] messages diverge");
-                    }
-                    (Err(se), Err(re)) => assert_eq!(se, re, "[{name}] errors diverge"),
-                    (s, r) => panic!(
-                        "[{name}] one side failed: serial ok={} framed ok={}",
-                        s.is_ok(),
-                        r.is_ok()
-                    ),
-                }
-            }
-            // Cross-transport agreement: every enabled transport that ran
-            // must agree with the first one exactly, byte-for-byte.
-            let ok_runs: Vec<(&String, &FramedRun)> = runs
-                .iter()
-                .filter_map(|(l, r)| r.as_ref().ok().map(|run| (l, run)))
-                .collect();
-            if let Some((first_label, first)) = ok_runs.first() {
-                for (label, run) in &ok_runs[1..] {
-                    let pair = format!("{first_label} vs {label} s={shards} t={threads}");
-                    assert_eq!(first.outcome.outputs, run.outcome.outputs, "[{pair}]");
-                    assert_eq!(first.cut_edges, run.cut_edges, "[{pair}]");
-                    assert_eq!(
-                        first.exchange_bytes, run.exchange_bytes,
-                        "[{pair}] same frames, same bytes"
-                    );
-                    assert_eq!(
-                        first.total_bytes, run.total_bytes,
-                        "[{pair}] same frames, same bytes"
-                    );
-                }
-            }
-        }
-    }
-}
-
-#[test]
-fn framed_flood_matches_serial_on_all_transports() {
-    let scenario = Scenario::new(
-        GraphSpec::RandomRegular { n: 48, d: 6 },
-        IdFlavor::Shuffled,
-        7,
-    );
-    framed_differential(&scenario, ProtocolSpec::FloodMax { radius: 5 }, 50);
-}
-
-#[test]
-fn framed_port_echo_matches_serial_on_all_transports() {
-    let scenario = Scenario::new(GraphSpec::Grid { w: 7, h: 5 }, IdFlavor::SparseRandom, 11);
-    framed_differential(&scenario, ProtocolSpec::PortEcho { rounds: 3 }, 10);
-}
-
-#[test]
-fn framed_staggered_matches_serial_on_all_transports() {
-    let scenario = Scenario::new(
-        GraphSpec::ManySmallComponents {
-            components: 10,
-            max_size: 6,
-        },
-        IdFlavor::Reversed,
-        13,
-    );
-    framed_differential(&scenario, ProtocolSpec::StaggeredSum { spread: 6 }, 30);
-}
-
-#[test]
-fn framed_round_limit_errors_on_all_transports() {
-    let scenario = Scenario::new(GraphSpec::Cycle { n: 20 }, IdFlavor::Sequential, 3);
-    framed_differential(&scenario, ProtocolSpec::FloodMax { radius: 500 }, 4);
-}
-
-#[test]
-fn subprocess_transport_truly_runs_out_of_process() {
-    if !transports_enabled().process {
-        return; // a CI leg pinned to another transport
-    }
-    // Not a differential: this pins that ProcessTransport actually spawns
-    // children (launch succeeds against the real binary and the run
-    // completes through real pipes).
-    let scenario = Scenario::new(GraphSpec::Cycle { n: 30 }, IdFlavor::Sequential, 1);
-    let g = scenario.graph();
-    let net = scenario.network(&g);
-    let run = framed_result(
-        &ProcessTransport::new(shardd_bin()),
-        &g,
-        net.ids(),
-        ProtocolSpec::FloodMax { radius: 4 },
-        3,
-        1,
-        50,
-    )
-    .expect("run succeeds");
-    assert_eq!(run.shards, 3);
-    assert!(run.total_bytes > 0);
-    let serial = serial_oracle(&net, ProtocolSpec::FloodMax { radius: 4 }, 50).unwrap();
-    assert_eq!(serial.outputs, run.outcome.outputs);
-}
-
-#[test]
-fn socket_transports_truly_run_out_of_process() {
-    // Spawn-mode TCP (and UDS on Unix): real `deco-shardd` children dial
-    // the coordinator back over real sockets and the run reproduces the
-    // serial oracle.
-    let enabled = transports_enabled();
-    let scenario = Scenario::new(GraphSpec::Cycle { n: 30 }, IdFlavor::Sequential, 1);
-    let g = scenario.graph();
-    let net = scenario.network(&g);
-    let serial = serial_oracle(&net, ProtocolSpec::FloodMax { radius: 4 }, 50).unwrap();
-    if enabled.tcp {
-        let run = framed_result(
-            &TcpTransport::spawn(shardd_bin()),
-            &g,
-            net.ids(),
-            ProtocolSpec::FloodMax { radius: 4 },
-            3,
-            1,
-            50,
-        )
-        .expect("tcp run succeeds");
-        assert_eq!(run.shards, 3);
-        assert_eq!(serial.outputs, run.outcome.outputs);
-    }
-    #[cfg(unix)]
-    if enabled.uds {
-        let run = framed_result(
-            &UdsTransport::spawn(shardd_bin()),
-            &g,
-            net.ids(),
-            ProtocolSpec::FloodMax { radius: 4 },
-            3,
-            1,
-            50,
-        )
-        .expect("uds run succeeds");
-        assert_eq!(run.shards, 3);
-        assert_eq!(serial.outputs, run.outcome.outputs);
-    }
-}
-
-#[test]
-fn sharded_descriptors_round_trip_socket_transports() {
-    // The descriptor grammar is an API: these exact strings appear in CI
-    // matrix legs and experiment reports, so they are pinned verbatim.
-    use deco_engine::config::EngineSelection;
-    use deco_engine::ShardTransportKind;
-    for (desc, shards, threads, kind) in [
-        (
-            "sharded(shards=4,threads=1,transport=tcp)",
-            4,
-            1,
-            ShardTransportKind::Tcp,
-        ),
-        (
-            "sharded(shards=2,threads=2,transport=uds)",
-            2,
-            2,
-            ShardTransportKind::Uds,
-        ),
-    ] {
-        let sel: EngineSelection = desc.parse().unwrap_or_else(|e| panic!("{desc}: {e}"));
-        assert_eq!(sel.to_string(), desc, "descriptor must round-trip");
-        match sel {
-            EngineSelection::Sharded(e) => {
-                assert_eq!(e.shards(), shards);
-                assert_eq!(e.threads_per_shard(), threads);
-                assert_eq!(e.transport(), kind);
-            }
-            other => panic!("{desc} parsed as {other:?}"),
-        }
     }
 }

@@ -23,16 +23,13 @@
 //! round clock, with adjacent nodes up to one round apart; its
 //! `ShardedExecutor` partitions the network into shards whose only
 //! coupling is the per-round exchange of cut-edge messages, with whole
-//! *shards* up to one round apart (and a framed variant runs each shard
-//! in its own worker process). All are legal implementations precisely
+//! *shards* up to one round apart. All are legal implementations precisely
 //! because a node's round-`r` state depends only on its radius-`r`
-//! neighborhood, so any dependency-respecting schedule — threaded,
-//! clock-driven, or distributed across processes — reproduces the
-//! synchronous execution bit for bit. The differential suites hold every
-//! implementation to this, error cases included: an executor that can
-//! fail for *operational* reasons (a dead worker process, a broken pipe)
-//! must surface those as its own transport-level errors, never by
-//! reinterpreting them as model-level [`RunError`]s.
+//! neighborhood, so any dependency-respecting schedule — threaded or
+//! clock-driven — reproduces the synchronous execution bit for bit. The
+//! differential suites hold every implementation to this, error cases
+//! included: [`RunError`] is reserved for model-level outcomes, identical
+//! on every executor.
 //!
 //! Besides protocol execution, an [`Executor`] also decides how a caller's
 //! *logically parallel branches* run ([`Executor::execute_branches`]): the

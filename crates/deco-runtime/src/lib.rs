@@ -15,11 +15,11 @@
 //!   an [`Engine`] plus cross-cutting run policy (the round budget for
 //!   open-ended protocols).
 //! * [`RuntimeBuilder`] — explicit settings (threads / mode / shards /
-//!   transport / max-rounds) layered over the `DECO_ENGINE_*` environment:
-//!   builder settings always win, unset ones fall back to the environment
-//!   ([`RuntimeBuilder::from_env`] delegates to the pure parsers in
-//!   [`deco_engine::config`]), and a clean slate selects the serial
-//!   reference executor.
+//!   max-rounds / trace) layered over the `DECO_ENGINE_*` / `DECO_TRACE`
+//!   environment: builder settings always win, unset ones fall back to the
+//!   environment ([`RuntimeBuilder::from_env`] is the one place that reads
+//!   it, through the pure parsers in [`deco_engine::config`]), and a clean
+//!   slate selects the serial reference executor.
 //!
 //! ```
 //! use deco_runtime::{Engine, Runtime};
@@ -40,14 +40,15 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use deco_engine::config::{
-    self, parse_mode, parse_shards, parse_threads, parse_trace, parse_transport,
-    DescriptorParseError, EngineEnvError, EngineSelection, ShardTransportKind,
-};
+use deco_engine::config::{self, parse_mode, parse_shards, parse_threads, parse_trace};
 use deco_engine::{EngineMode, ParallelExecutor, ShardedExecutor};
 use deco_local::network::Network;
 use deco_local::runner::{NodeProgram, Protocol, RunError, RunOutcome};
 use deco_local::{Executor, SerialExecutor};
+
+/// The structured error of a malformed environment variable, returned by
+/// [`RuntimeBuilder::from_env`].
+pub use deco_engine::config::EngineEnvError;
 
 /// Default round budget for open-ended protocols run through a [`Runtime`]
 /// (fixed-schedule protocols compute their own). Far above any plausible
@@ -77,18 +78,6 @@ impl Engine {
     pub fn serial() -> Engine {
         Engine::Serial(SerialExecutor)
     }
-
-    /// The engine the `DECO_ENGINE_*` variables select: serial when none
-    /// of them is set, otherwise the configured parallel or sharded
-    /// engine. See [`RuntimeBuilder::from_env`] for the exact layering.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the [`EngineEnvError`] naming the malformed variable and
-    /// its offending value.
-    pub fn from_env() -> Result<Engine, EngineEnvError> {
-        Ok(Runtime::from_env()?.into_engine())
-    }
 }
 
 impl Default for Engine {
@@ -115,37 +104,118 @@ impl From<ShardedExecutor> for Engine {
     }
 }
 
-impl From<EngineSelection> for Engine {
-    fn from(sel: EngineSelection) -> Engine {
-        match sel {
-            EngineSelection::Parallel(e) => Engine::Parallel(e),
-            EngineSelection::Sharded(e) => Engine::Sharded(e),
-        }
-    }
-}
-
-/// The stable one-line descriptor: `serial`, or the
-/// [`EngineSelection`] descriptor of the parallel / sharded arm
-/// (`barrier(threads=2)`, `async(threads=auto)`,
-/// `sharded(shards=4,threads=2,transport=process)`).
+/// The stable one-line engine descriptor, embedded in run reports and
+/// experiment table headers and parsed back by the [`std::str::FromStr`]
+/// impl:
+///
+/// * `serial` — the reference executor;
+/// * `barrier(threads=2)` / `async(threads=auto)` — the parallel engine,
+///   named by its round substrate (`threads=auto` is the hardware default);
+/// * `sharded(shards=4,threads=2)` — the sharded engine with its
+///   threads-per-shard.
+///
+/// The format is an API: tooling that attributes measurements to engines
+/// keys on these strings, and the round-trip test pins them.
 impl std::fmt::Display for Engine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             Engine::Serial(_) => f.write_str("serial"),
-            Engine::Parallel(e) => EngineSelection::Parallel(*e).fmt(f),
-            Engine::Sharded(e) => EngineSelection::Sharded(*e).fmt(f),
+            Engine::Parallel(e) => {
+                let substrate = match e.mode() {
+                    EngineMode::Barrier => "barrier",
+                    EngineMode::Async => "async",
+                };
+                match e.threads() {
+                    0 => write!(f, "{substrate}(threads=auto)"),
+                    t => write!(f, "{substrate}(threads={t})"),
+                }
+            }
+            Engine::Sharded(e) => write!(
+                f,
+                "sharded(shards={},threads={})",
+                e.shards(),
+                e.threads_per_shard()
+            ),
         }
     }
+}
+
+/// Error parsing an engine descriptor back into an [`Engine`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct DescriptorParseError {
+    /// The descriptor that failed to parse, verbatim.
+    pub descriptor: String,
+}
+
+impl std::fmt::Display for DescriptorParseError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "unrecognized engine descriptor {:?} (expected serial, barrier(threads=N), \
+             async(threads=N), or sharded(shards=S,threads=T))",
+            self.descriptor
+        )
+    }
+}
+
+impl std::error::Error for DescriptorParseError {}
+
+/// Splits `descriptor` as `head(k1=v1,k2=v2,…)` and returns the head and
+/// the exact `key=` values requested, or `None` on any shape mismatch.
+fn parse_fields<'a, const N: usize>(
+    descriptor: &'a str,
+    keys: [&str; N],
+) -> Option<(&'a str, [&'a str; N])> {
+    let open = descriptor.find('(')?;
+    let body = descriptor[open..].strip_prefix('(')?.strip_suffix(')')?;
+    let head = &descriptor[..open];
+    let parts: Vec<&str> = body.split(',').collect();
+    if parts.len() != N {
+        return None;
+    }
+    let mut values = [""; N];
+    for (slot, (part, key)) in values.iter_mut().zip(parts.iter().zip(keys)) {
+        *slot = part.strip_prefix(key)?.strip_prefix('=')?;
+    }
+    Some((head, values))
+}
+
+/// A positive count, as descriptors spell thread and shard requests.
+fn parse_positive(raw: &str) -> Option<usize> {
+    raw.parse().ok().filter(|&n| n > 0)
 }
 
 impl std::str::FromStr for Engine {
     type Err = DescriptorParseError;
 
     fn from_str(s: &str) -> Result<Engine, DescriptorParseError> {
+        let err = || DescriptorParseError {
+            descriptor: s.to_string(),
+        };
         if s == "serial" {
             return Ok(Engine::serial());
         }
-        s.parse::<EngineSelection>().map(Engine::from)
+        if let Some((head, [threads])) = parse_fields(s, ["threads"]) {
+            let mode = match head {
+                "barrier" => EngineMode::Barrier,
+                "async" => EngineMode::Async,
+                _ => return Err(err()),
+            };
+            let exec = if threads == "auto" {
+                ParallelExecutor::auto()
+            } else {
+                ParallelExecutor::with_threads(parse_positive(threads).ok_or_else(err)?)
+            };
+            return Ok(Engine::Parallel(exec.with_mode(mode)));
+        }
+        if let Some(("sharded", [shards, threads])) = parse_fields(s, ["shards", "threads"]) {
+            let shards = parse_positive(shards).ok_or_else(err)?;
+            let threads = parse_positive(threads).ok_or_else(err)?;
+            return Ok(Engine::Sharded(
+                ShardedExecutor::new(shards).with_threads_per_shard(threads),
+            ));
+        }
+        Err(err())
     }
 }
 
@@ -193,7 +263,6 @@ impl Executor for Engine {
 pub struct Runtime {
     engine: Engine,
     max_rounds: u64,
-    shard_timeout_ms: u64,
 }
 
 impl Runtime {
@@ -207,7 +276,6 @@ impl Runtime {
         Runtime {
             engine,
             max_rounds: DEFAULT_MAX_ROUNDS,
-            shard_timeout_ms: config::DEFAULT_SHARD_TIMEOUT_MS,
         }
     }
 
@@ -216,8 +284,8 @@ impl Runtime {
         RuntimeBuilder::default()
     }
 
-    /// The runtime the `DECO_ENGINE_*` / `DECO_SHARD_TRANSPORT` variables
-    /// select — shorthand for `Runtime::builder().from_env()?.build()`. On
+    /// The runtime the `DECO_ENGINE_*` / `DECO_TRACE` variables select —
+    /// shorthand for `Runtime::builder().from_env()?.build()`. On
     /// a clean environment (none of the variables set) this is the serial
     /// default.
     ///
@@ -235,34 +303,11 @@ impl Runtime {
         &self.engine
     }
 
-    /// Consumes the runtime, returning its engine.
-    pub fn into_engine(self) -> Engine {
-        self.engine
-    }
-
     /// The round budget for open-ended protocols run through this runtime
     /// (randomized baselines and other protocols without a fixed
     /// schedule). Exceeding it is [`RunError::RoundLimitExceeded`].
     pub fn max_rounds(&self) -> u64 {
         self.max_rounds
-    }
-
-    /// The per-frame receive deadline, in milliseconds, that framed shard
-    /// runs made through this runtime enforce on every worker response
-    /// (`0` disables the deadline). Layered like every other knob:
-    /// [`RuntimeBuilder::shard_timeout_ms`] wins, else
-    /// `DECO_SHARD_TIMEOUT_MS`, else 5000. The typed in-process executor
-    /// path never blocks on a pipe, so the budget only matters to framed
-    /// transports.
-    pub fn shard_timeout_ms(&self) -> u64 {
-        self.shard_timeout_ms
-    }
-
-    /// The [`FramedPolicy`](deco_engine::shard::framed::FramedPolicy) this
-    /// runtime hands to framed shard coordinators: default retry budget,
-    /// deadline from [`Runtime::shard_timeout_ms`].
-    pub fn framed_policy(&self) -> deco_engine::shard::framed::FramedPolicy {
-        deco_engine::shard::framed::FramedPolicy::default().with_timeout_ms(self.shard_timeout_ms)
     }
 
     /// The stable one-line engine descriptor (see the [`Engine`]
@@ -303,12 +348,6 @@ impl From<ShardedExecutor> for Runtime {
     }
 }
 
-impl From<EngineSelection> for Runtime {
-    fn from(sel: EngineSelection) -> Runtime {
-        Runtime::new(sel.into())
-    }
-}
-
 impl Executor for Runtime {
     fn execute<P>(
         &self,
@@ -340,9 +379,8 @@ impl Executor for Runtime {
 /// left it unset and [`RuntimeBuilder::from_env`] ran), or absent. Engine
 /// selection follows the settings that are present:
 ///
-/// * `shards > 0` → the sharded engine (`threads` = threads per shard,
-///   `transport` = cross-shard transport preference; `mode` is ignored —
-///   the cut exchange is clock-driven by design);
+/// * `shards > 0` → the sharded engine (`threads` = threads per shard;
+///   `mode` is ignored — the cut exchange is clock-driven by design);
 /// * otherwise, any of `threads` / `mode` present → the in-process
 ///   parallel engine (`threads` 0 or unset = hardware auto);
 /// * nothing present → the serial reference executor.
@@ -351,9 +389,7 @@ pub struct RuntimeBuilder {
     threads: Option<usize>,
     mode: Option<EngineMode>,
     shards: Option<usize>,
-    transport: Option<ShardTransportKind>,
     max_rounds: Option<u64>,
-    shard_timeout_ms: Option<u64>,
     trace: Option<deco_trace::TraceMode>,
 }
 
@@ -379,25 +415,10 @@ impl RuntimeBuilder {
         self
     }
 
-    /// Sets the cross-shard transport preference recorded on the sharded
-    /// engine (consumed by framed entry points and descriptors; the
-    /// general executor path always runs the typed in-process substrate).
-    pub fn transport(mut self, transport: ShardTransportKind) -> RuntimeBuilder {
-        self.transport = Some(transport);
-        self
-    }
-
     /// Sets the round budget for open-ended protocols
     /// ([`Runtime::max_rounds`]).
     pub fn max_rounds(mut self, max_rounds: u64) -> RuntimeBuilder {
         self.max_rounds = Some(max_rounds);
-        self
-    }
-
-    /// Sets the per-frame receive deadline for framed shard runs, in
-    /// milliseconds (`0` = no deadline; see [`Runtime::shard_timeout_ms`]).
-    pub fn shard_timeout_ms(mut self, ms: u64) -> RuntimeBuilder {
-        self.shard_timeout_ms = Some(ms);
         self
     }
 
@@ -414,7 +435,8 @@ impl RuntimeBuilder {
     /// Fills every knob the builder has *not* set from its environment
     /// variable, parsing with the pure parsers of [`deco_engine::config`]:
     /// `DECO_ENGINE_THREADS`, `DECO_ENGINE_ASYNC`, `DECO_ENGINE_SHARDS`,
-    /// `DECO_SHARD_TRANSPORT`, `DECO_SHARD_TIMEOUT_MS`, `DECO_TRACE`.
+    /// `DECO_TRACE`. This is the only reader of those variables in the
+    /// workspace.
     /// Explicit builder settings take precedence variable by variable —
     /// `.threads(4).from_env()` honors `DECO_ENGINE_SHARDS` while ignoring
     /// `DECO_ENGINE_THREADS`.
@@ -440,15 +462,6 @@ impl RuntimeBuilder {
         fill(&mut self.threads, config::ENV_THREADS, parse_threads)?;
         fill(&mut self.mode, config::ENV_ASYNC, parse_mode)?;
         fill(&mut self.shards, config::ENV_SHARDS, parse_shards)?;
-        fill(&mut self.transport, config::ENV_TRANSPORT, parse_transport)?;
-        // The timeout parser is tri-state itself (empty = default), so it
-        // does not fit the plain `fill` shape: an empty variable leaves
-        // the knob unset and the build falls back to the default budget.
-        if self.shard_timeout_ms.is_none() {
-            if let Some(raw) = std::env::var_os(config::ENV_SHARD_TIMEOUT) {
-                self.shard_timeout_ms = config::parse_timeout_ms(&raw.to_string_lossy())?;
-            }
-        }
         fill(&mut self.trace, config::ENV_TRACE, parse_trace)?;
         Ok(self)
     }
@@ -456,25 +469,21 @@ impl RuntimeBuilder {
     /// Builds the runtime (see the type-level docs for the selection
     /// rules).
     pub fn build(self) -> Runtime {
-        // The only selection logic the builder adds over EngineConfig is
-        // the serial default: with no engine knob present at all, the
-        // reference executor wins. Everything engine-shaped delegates to
-        // deco-engine's own EngineConfig::selection, so there is exactly
-        // one place that turns (threads, mode, shards, transport) into a
-        // concrete executor.
-        let engine =
-            if self.threads.is_none() && self.mode.is_none() && self.shards.unwrap_or(0) == 0 {
-                Engine::serial()
-            } else {
-                config::EngineConfig {
-                    threads: self.threads.unwrap_or(0),
-                    mode: self.mode.unwrap_or_default(),
-                    shards: self.shards.unwrap_or(0),
-                    transport: self.transport.unwrap_or_default(),
-                }
-                .selection()
-                .into()
+        // The one place that turns (threads, mode, shards) into a concrete
+        // executor.
+        let threads = self.threads.unwrap_or(0);
+        let shards = self.shards.unwrap_or(0);
+        let engine = if shards > 0 {
+            Engine::Sharded(ShardedExecutor::new(shards).with_threads_per_shard(threads.max(1)))
+        } else if self.threads.is_none() && self.mode.is_none() {
+            Engine::serial()
+        } else {
+            let exec = match threads {
+                0 => ParallelExecutor::auto(),
+                t => ParallelExecutor::with_threads(t),
             };
+            Engine::Parallel(exec.with_mode(self.mode.unwrap_or_default()))
+        };
         // Tracing is a process-global sink, not per-runtime state (the
         // Runtime stays Copy). Only an *explicit* selection touches the
         // global — a builder with no trace knob leaves whatever sink a
@@ -487,9 +496,6 @@ impl RuntimeBuilder {
         Runtime {
             engine,
             max_rounds: self.max_rounds.unwrap_or(DEFAULT_MAX_ROUNDS),
-            shard_timeout_ms: self
-                .shard_timeout_ms
-                .unwrap_or(config::DEFAULT_SHARD_TIMEOUT_MS),
         }
     }
 }
@@ -523,50 +529,14 @@ mod tests {
             Engine::Parallel(ParallelExecutor::auto().with_mode(EngineMode::Async))
         );
         assert_eq!(
-            *Runtime::builder()
-                .shards(4)
-                .threads(2)
-                .transport(ShardTransportKind::Process)
-                .build()
-                .engine(),
-            Engine::Sharded(
-                ShardedExecutor::new(4)
-                    .with_threads_per_shard(2)
-                    .with_transport(ShardTransportKind::Process)
-            )
+            *Runtime::builder().shards(4).threads(2).build().engine(),
+            Engine::Sharded(ShardedExecutor::new(4).with_threads_per_shard(2))
         );
         // shards=0 explicitly means "not sharded"; with nothing else set
         // that is the serial default.
         assert_eq!(
             *Runtime::builder().shards(0).build().engine(),
             Engine::serial()
-        );
-    }
-
-    #[test]
-    fn shard_timeout_knob_defaults_and_overrides() {
-        assert_eq!(
-            Runtime::builder().build().shard_timeout_ms(),
-            config::DEFAULT_SHARD_TIMEOUT_MS
-        );
-        let rt = Runtime::builder().shard_timeout_ms(250).build();
-        assert_eq!(rt.shard_timeout_ms(), 250);
-        assert_eq!(rt.framed_policy().timeout_ms, 250);
-        // 0 = explicit "no deadline", distinct from unset.
-        assert_eq!(
-            Runtime::builder()
-                .shard_timeout_ms(0)
-                .build()
-                .shard_timeout_ms(),
-            0
-        );
-        // The knob never selects an engine.
-        assert_eq!(
-            Runtime::builder()
-                .shard_timeout_ms(250)
-                .build()
-                .descriptor(),
-            "serial"
         );
     }
 
@@ -591,23 +561,68 @@ mod tests {
     }
 
     #[test]
-    fn engine_descriptors_round_trip_including_serial() {
-        let engines = [
+    fn descriptors_are_stable() {
+        assert_eq!(Engine::serial().to_string(), "serial");
+        assert_eq!(
+            Engine::Parallel(ParallelExecutor::auto()).to_string(),
+            "barrier(threads=auto)"
+        );
+        assert_eq!(
+            Engine::Parallel(ParallelExecutor::with_threads(2).with_mode(EngineMode::Async))
+                .to_string(),
+            "async(threads=2)"
+        );
+        assert_eq!(
+            Engine::Sharded(ShardedExecutor::new(4).with_threads_per_shard(2)).to_string(),
+            "sharded(shards=4,threads=2)"
+        );
+    }
+
+    #[test]
+    fn descriptors_round_trip() {
+        let lineup = [
             Engine::serial(),
+            Engine::Parallel(ParallelExecutor::auto()),
+            Engine::Parallel(ParallelExecutor::with_threads(1)),
             Engine::Parallel(ParallelExecutor::with_threads(2)),
+            Engine::Parallel(ParallelExecutor::with_threads(4).with_mode(EngineMode::Async)),
             Engine::Parallel(ParallelExecutor::auto().with_mode(EngineMode::Async)),
-            Engine::Sharded(
-                ShardedExecutor::new(4)
-                    .with_threads_per_shard(2)
-                    .with_transport(ShardTransportKind::Process),
-            ),
+            Engine::Sharded(ShardedExecutor::new(1)),
+            Engine::Sharded(ShardedExecutor::new(2)),
+            Engine::Sharded(ShardedExecutor::new(4).with_threads_per_shard(2)),
         ];
-        for engine in engines {
+        assert_eq!(
+            Engine::Sharded(ShardedExecutor::new(2)).to_string(),
+            "sharded(shards=2,threads=1)"
+        );
+        for engine in lineup {
             let descriptor = engine.to_string();
             let parsed: Engine = descriptor.parse().expect("descriptor parses");
             assert_eq!(parsed, engine, "{descriptor} must round-trip");
         }
-        assert!("turbo(threads=2)".parse::<Engine>().is_err());
+    }
+
+    #[test]
+    fn malformed_descriptors_are_errors() {
+        for bad in [
+            "",
+            "Serial",
+            "serial()",
+            "barrier",
+            "barrier()",
+            "barrier(threads=0)",
+            "barrier(threads=two)",
+            "turbo(threads=2)",
+            "sharded(threads=2)",
+            "sharded(shards=0,threads=1)",
+            "sharded(shards=2,threads=0)",
+            "sharded(threads=1,shards=2)",
+            "sharded(shards=2,threads=1,transport=channel)",
+        ] {
+            let err = bad.parse::<Engine>().unwrap_err();
+            assert_eq!(err.descriptor, bad);
+            assert!(err.to_string().contains("descriptor"), "{err}");
+        }
     }
 
     #[test]
@@ -620,10 +635,6 @@ mod tests {
         assert_eq!(
             *Runtime::from(ShardedExecutor::new(2)).engine(),
             Engine::Sharded(ShardedExecutor::new(2))
-        );
-        assert_eq!(
-            Engine::from(EngineSelection::Parallel(ParallelExecutor::auto())),
-            Engine::Parallel(ParallelExecutor::auto())
         );
     }
 

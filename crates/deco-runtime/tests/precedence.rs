@@ -1,5 +1,5 @@
 //! Builder-vs-environment precedence: explicit [`RuntimeBuilder`] settings
-//! must override each `DECO_ENGINE_*` / `DECO_SHARD_TRANSPORT` variable
+//! must override each `DECO_ENGINE_*` / `DECO_TRACE` variable
 //! *individually*, and a clean environment must select the serial default.
 //!
 //! Environment variables are process-global, and the test harness runs
@@ -8,22 +8,14 @@
 //! restores the prior environment on exit — including variables the CI
 //! matrix itself pins (these tests must pass identically on every CI leg).
 
-use deco_engine::config::{
-    DEFAULT_SHARD_TIMEOUT_MS, ENV_ASYNC, ENV_SHARDS, ENV_SHARD_TIMEOUT, ENV_THREADS, ENV_TRANSPORT,
-};
-use deco_engine::{EngineMode, ParallelExecutor, ShardTransportKind, ShardedExecutor};
+use deco_engine::config::{ENV_ASYNC, ENV_SHARDS, ENV_THREADS, ENV_TRACE};
+use deco_engine::{EngineMode, ParallelExecutor, ShardedExecutor};
 use deco_runtime::{Engine, Runtime, DEFAULT_MAX_ROUNDS};
 use std::sync::{Mutex, MutexGuard};
 
 static ENV_LOCK: Mutex<()> = Mutex::new(());
 
-const VARS: [&str; 5] = [
-    ENV_THREADS,
-    ENV_ASYNC,
-    ENV_SHARDS,
-    ENV_TRANSPORT,
-    ENV_SHARD_TIMEOUT,
-];
+const VARS: [&str; 4] = [ENV_THREADS, ENV_ASYNC, ENV_SHARDS, ENV_TRACE];
 
 /// Runs `body` with the engine environment set to exactly `vars` (every
 /// other engine variable removed), restoring the prior environment after.
@@ -72,22 +64,17 @@ fn env_alone_selects_each_engine() {
         *rt.engine(),
         Engine::Parallel(ParallelExecutor::auto().with_mode(EngineMode::Async))
     );
-    let rt = with_env(
-        &[
-            (ENV_SHARDS, "3"),
-            (ENV_THREADS, "2"),
-            (ENV_TRANSPORT, "process"),
-        ],
-        || Runtime::from_env().unwrap(),
-    );
+    let rt = with_env(&[(ENV_SHARDS, "3"), (ENV_THREADS, "2")], || {
+        Runtime::from_env().unwrap()
+    });
     assert_eq!(
         *rt.engine(),
-        Engine::Sharded(
-            ShardedExecutor::new(3)
-                .with_threads_per_shard(2)
-                .with_transport(ShardTransportKind::Process)
-        )
+        Engine::Sharded(ShardedExecutor::new(3).with_threads_per_shard(2))
     );
+    assert_eq!(rt.descriptor(), "sharded(shards=3,threads=2)");
+    // Sharding without a thread variable runs one thread per shard.
+    let rt = with_env(&[(ENV_SHARDS, "2")], || Runtime::from_env().unwrap());
+    assert_eq!(*rt.engine(), Engine::Sharded(ShardedExecutor::new(2)));
 }
 
 #[test]
@@ -147,21 +134,6 @@ fn builder_shards_overrides_env_shards() {
 }
 
 #[test]
-fn builder_transport_overrides_env_transport() {
-    let rt = with_env(&[(ENV_SHARDS, "2"), (ENV_TRANSPORT, "process")], || {
-        Runtime::builder()
-            .transport(ShardTransportKind::Channel)
-            .from_env()
-            .expect("env parses")
-            .build()
-    });
-    assert_eq!(
-        *rt.engine(),
-        Engine::Sharded(ShardedExecutor::new(2).with_transport(ShardTransportKind::Channel))
-    );
-}
-
-#[test]
 fn builder_never_reads_an_overridden_malformed_variable() {
     // The overridden variable is malformed, but the builder set it
     // explicitly, so from_env must not even read it…
@@ -186,36 +158,24 @@ fn builder_never_reads_an_overridden_malformed_variable() {
 }
 
 #[test]
-fn builder_timeout_overrides_env_timeout() {
-    // Builder wins on the timeout knob while the environment still picks
-    // the engine.
-    let rt = with_env(&[(ENV_SHARDS, "2"), (ENV_SHARD_TIMEOUT, "9000")], || {
+fn builder_trace_overrides_env_trace() {
+    // The builder pins tracing off, so a malformed DECO_TRACE is never
+    // read; the environment still picks the engine.
+    let rt = with_env(&[(ENV_TRACE, "verbose"), (ENV_SHARDS, "2")], || {
         Runtime::builder()
-            .shard_timeout_ms(250)
+            .trace(deco_trace::TraceMode::Off)
             .from_env()
-            .expect("env parses")
+            .expect("overridden variable is never consulted")
             .build()
     });
-    assert_eq!(rt.shard_timeout_ms(), 250);
     assert_eq!(*rt.engine(), Engine::Sharded(ShardedExecutor::new(2)));
-    // Environment alone fills the unset knob…
-    let rt = with_env(&[(ENV_SHARD_TIMEOUT, "750")], || {
-        Runtime::from_env().unwrap()
-    });
-    assert_eq!(rt.shard_timeout_ms(), 750);
-    // …an *empty* variable means "use the default"…
-    let rt = with_env(&[(ENV_SHARD_TIMEOUT, "")], || Runtime::from_env().unwrap());
-    assert_eq!(rt.shard_timeout_ms(), DEFAULT_SHARD_TIMEOUT_MS);
-    // …0 disables the deadline entirely…
-    let rt = with_env(&[(ENV_SHARD_TIMEOUT, "0")], || Runtime::from_env().unwrap());
-    assert_eq!(rt.shard_timeout_ms(), 0);
-    // …and a malformed value is a structured error naming the variable
-    // (which the binaries turn into exit status 2).
-    let err = with_env(&[(ENV_SHARD_TIMEOUT, "soon")], || {
+    // Left to the environment, the same value is a structured error
+    // naming the variable (which the binaries turn into exit status 2).
+    let err = with_env(&[(ENV_TRACE, "verbose")], || {
         Runtime::from_env().unwrap_err()
     });
-    assert_eq!(err.var, ENV_SHARD_TIMEOUT);
-    assert_eq!(err.value, "soon");
+    assert_eq!(err.var, ENV_TRACE);
+    assert_eq!(err.value, "verbose");
 }
 
 #[test]

@@ -17,8 +17,7 @@
 //! override it.
 
 use crate::transport::ServeAddr;
-use deco_engine::config::EngineEnvError;
-use deco_runtime::Runtime;
+use deco_runtime::{EngineEnvError, Runtime};
 use std::time::Duration;
 
 /// `DECO_SERVE_ADDR` — where the daemon listens.

@@ -24,8 +24,7 @@
 //! waits, progress elapsed, live queue depths) zeroed. Both ends count
 //! frames once per logical line and bytes at canonical cost, which makes
 //! the accounting bit-identical whether a request travels over TCP, a
-//! Unix socket, or the in-process test transport — the same invariant the
-//! framed shard transports pin for shard traffic.
+//! Unix socket, or the in-process test transport.
 
 use deco_core::jsonl::{
     solve_error_from_fields, write_solve_error_fields, RunReportLine, UpdateReportLine,

@@ -215,6 +215,23 @@ fn malformed_frames_get_structured_errors_and_the_daemon_survives() {
             ErrorCode::Malformed,
             "x6",
         ),
+        // The sharded descriptor has no transport field.
+        (
+            RequestFrame {
+                id: "x7".to_string(),
+                req: Request::Solve {
+                    graph: GraphSource::Inline {
+                        nodes: 2,
+                        edges: vec![(0, 1)],
+                    },
+                    engine: Some("sharded(shards=2,threads=1,transport=channel)".to_string()),
+                    progress: false,
+                },
+            }
+            .encode(),
+            ErrorCode::Malformed,
+            "x7",
+        ),
     ];
     for (line, want_code, want_id) in cases {
         client.send_line(&line).unwrap();

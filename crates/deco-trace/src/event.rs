@@ -30,9 +30,6 @@ pub enum Phase {
     /// One whole engine execution that has no global round structure to
     /// attribute finer (the async and sharded engines).
     Execute,
-    /// The cross-shard cut exchange of the framed coordinator: collecting
-    /// every shard's cut-out vector and routing it to ghost ports.
-    CutExchange,
     /// One Lemma 4.2 sweep of the solver (dependency-wavefront class
     /// solves).
     Sweep,
@@ -45,14 +42,13 @@ pub enum Phase {
 
 impl Phase {
     /// Every phase, in canonical rendering order.
-    pub const ALL: [Phase; 9] = [
+    pub const ALL: [Phase; 8] = [
         Phase::Pipeline,
         Phase::Execute,
         Phase::Round,
         Phase::Send,
         Phase::Deliver,
         Phase::Receive,
-        Phase::CutExchange,
         Phase::Sweep,
         Phase::SolverBranch,
     ];
@@ -70,7 +66,6 @@ impl Phase {
             Phase::Deliver => "deliver",
             Phase::Receive => "receive",
             Phase::Execute => "execute",
-            Phase::CutExchange => "cut-exchange",
             Phase::Sweep => "sweep",
             Phase::SolverBranch => "solver-branch",
             Phase::Pipeline => "pipeline",
@@ -105,9 +100,6 @@ pub enum Counter {
     /// Rounds-in-flight samples of the async engine (how far the globally
     /// furthest node was ahead of a receiving node, plus one).
     RoundsInFlight,
-    /// Bytes crossing shard boundaries through the framed coordinator's
-    /// cut exchange.
-    ShardExchangeBytes,
     /// Peak resident set size of the process, snapshotted at run-scope
     /// finish (sampled, max-merged: concurrent scopes see one process).
     PeakRssBytes,
@@ -115,12 +107,11 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in canonical rendering order.
-    pub const ALL: [Counter; 6] = [
+    pub const ALL: [Counter; 5] = [
         Counter::Messages,
         Counter::Rounds,
         Counter::BarrierWaitEliminated,
         Counter::RoundsInFlight,
-        Counter::ShardExchangeBytes,
         Counter::PeakRssBytes,
     ];
 
@@ -139,7 +130,6 @@ impl Counter {
             Counter::Rounds => "rounds",
             Counter::BarrierWaitEliminated => "barrier-wait-eliminated",
             Counter::RoundsInFlight => "rounds-in-flight",
-            Counter::ShardExchangeBytes => "shard-exchange-bytes",
             Counter::PeakRssBytes => "peak-rss-bytes",
         }
     }

@@ -1,8 +1,8 @@
 //! Shared plumbing for the runnable examples (included via `#[path]`;
 //! not an example target itself).
 
-/// The engine comes from the environment (`DECO_ENGINE_*`,
-/// `DECO_SHARD_TRANSPORT`); a malformed variable is reported to stderr —
+/// The engine comes from the environment (`DECO_ENGINE_*`, `DECO_TRACE`);
+/// a malformed variable is reported to stderr —
 /// naming the variable and the offending value — instead of panicking.
 /// The CI `examples-smoke` job asserts this exact behavior (exit code 2,
 /// variable name and value in the message).

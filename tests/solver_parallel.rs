@@ -204,32 +204,3 @@ fn overclaimed_slack_falls_back_identically_on_every_engine() {
         assert_eq!(serial.stats, par.stats, "{label}");
     }
 }
-
-#[test]
-fn shard_failures_convert_into_structured_solve_errors() {
-    // Pins the bridge between the framed engine's hardening and the solver
-    // error surface: a ShardFailed converts into SolveError::ShardFailed
-    // with the shard index and cause preserved, stays a plain Copy value,
-    // and renders the same human-readable cause.
-    use deco::engine::shard::framed::{ShardFailed, ShardFailure};
-    let failed = ShardFailed {
-        shard: 3,
-        cause: ShardFailure::Timeout { budget_ms: 250 },
-    };
-    let err: SolveError = failed.into();
-    assert_eq!(
-        err,
-        SolveError::ShardFailed {
-            shard: 3,
-            cause: ShardFailure::Timeout { budget_ms: 250 },
-        }
-    );
-    assert_eq!(
-        err.to_string(),
-        "shard 3 failed: no response within the 250 ms frame budget"
-    );
-    for cause in [ShardFailure::Disconnected, ShardFailure::Malformed] {
-        let e: SolveError = ShardFailed { shard: 0, cause }.into();
-        assert_eq!(e, SolveError::ShardFailed { shard: 0, cause });
-    }
-}
