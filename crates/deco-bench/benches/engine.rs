@@ -1,9 +1,9 @@
 //! Engine-vs-serial substrate benchmarks: the same protocols on the same
-//! large networks, executed by the serial reference runner, the engine
-//! pinned to one thread (flat-mailbox fast path only), and the engine at
-//! hardware parallelism. Outputs are asserted identical inside each
-//! iteration, so the numbers can never drift apart from a correctness bug
-//! silently.
+//! large networks, executed by the serial reference runner and the engine
+//! at pinned thread counts and at hardware parallelism (at one thread the
+//! engine is the serial runner). Outputs are asserted identical inside
+//! each iteration, so the numbers can never drift apart from a correctness
+//! bug silently.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use deco_bench::workloads;
@@ -27,14 +27,6 @@ fn bench_flood_engine_vs_serial(c: &mut Criterion) {
     group.bench_function("serial", |b| {
         b.iter(|| {
             SerialExecutor
-                .execute(&net, &protocol, 50)
-                .unwrap()
-                .messages
-        })
-    });
-    group.bench_function("engine-1t", |b| {
-        b.iter(|| {
-            ParallelExecutor::with_threads(1)
                 .execute(&net, &protocol, 50)
                 .unwrap()
                 .messages

@@ -1,7 +1,7 @@
 //! `engine-matrix` — the round-execution engine across the scenario matrix:
 //! differential correctness (engine ≡ serial runner, observationally) plus
 //! wall-clock comparison of the serial runner vs the flat-mailbox engine at
-//! one and many threads.
+//! hardware parallelism (at one thread the engine is the serial runner).
 
 use crate::table::Table;
 use deco_engine::protocols::{FloodMax, PortEcho};
@@ -50,7 +50,6 @@ pub fn run(_rt: &Runtime) -> String {
         "workload",
         "protocol",
         "serial",
-        "engine-1t",
         "engine-auto",
         "speedup (auto vs serial)",
     ]);
@@ -74,23 +73,16 @@ pub fn run(_rt: &Runtime) -> String {
                 .execute(&net, &FloodMax { radius }, 50)
                 .unwrap()
         });
-        let (e1, r1) = time(|| {
-            ParallelExecutor::with_threads(1)
-                .execute(&net, &FloodMax { radius }, 50)
-                .unwrap()
-        });
         let (ea, ra) = time(|| {
             ParallelExecutor::auto()
                 .execute(&net, &FloodMax { radius }, 50)
                 .unwrap()
         });
-        assert_eq!(so.outputs, r1.outputs);
         assert_eq!(so.outputs, ra.outputs);
         t.row([
             scenario.spec.label(),
             format!("flood(r={radius})"),
             format!("{st:.1?}"),
-            format!("{e1:.1?}"),
             format!("{ea:.1?}"),
             format!("{:.2}x", st.as_secs_f64() / ea.as_secs_f64()),
         ]);
@@ -110,7 +102,6 @@ pub fn run(_rt: &Runtime) -> String {
             scenario.spec.label(),
             "port-echo(3)".to_string(),
             format!("{st2:.1?}"),
-            "-".to_string(),
             format!("{ea2:.1?}"),
             format!("{:.2}x", st2.as_secs_f64() / ea2.as_secs_f64()),
         ]);

@@ -14,7 +14,7 @@
 
 use crate::records::append_trend_records;
 use crate::table::Table;
-use deco_engine::mailbox::{DoubleBuffer, MailboxPlan, RingBuffer};
+use deco_engine::mailbox::{MailboxPlan, RingBuffer};
 use deco_engine::protocols::FloodMax;
 use deco_engine::{
     Executor, GraphSpec, IdFlavor, ParallelExecutor, Scenario, SerialExecutor, ShardPlan,
@@ -179,7 +179,8 @@ pub fn run(rt: &Runtime) -> String {
     let sz = std::mem::size_of::<Msg>();
     let opt = std::mem::size_of::<Option<Msg>>();
     let serial_bytes = PortArena::<Msg>::new(slots).heap_bytes();
-    let engine_bytes = DoubleBuffer::<Msg>::new(slots).heap_bytes();
+    // The barrier engine keeps one arena of the same geometry.
+    let engine_bytes = serial_bytes;
     let async_bytes = RingBuffer::<Msg>::new(slots).heap_bytes();
     let splan = ShardPlan::new(&gk, 2);
     let cut_slots: usize = (0..splan.shards()).map(|s| splan.cut_ports(s).len()).sum();
@@ -198,7 +199,7 @@ pub fn run(rt: &Runtime) -> String {
         "diet",
     ]);
     let old_serial = slots * opt;
-    let old_engine = 2 * slots * opt;
+    let old_engine = old_serial;
     let old_async = slots * std::mem::size_of::<std::sync::Mutex<[Option<Msg>; 2]>>();
     let old_shard = (slots + 2 * cut_slots) * opt;
     for (label, dur, run, bytes, old) in [

@@ -83,8 +83,9 @@ pub fn run(_rt: &Runtime) -> String {
         "\nPhases nest (`pipeline` contains everything; `round` contains `send`,\n\
          `deliver`, `receive`; async and sharded runs attribute whole executions\n\
          to `execute` instead of global rounds) — compare within a level. `—`\n\
-         marks phases an engine never enters: only the serial runner has a\n\
-         distinct `deliver` phase.\n\n",
+         marks phases an engine never enters. `deliver` is the serial runner's\n\
+         own phase; the barrier engine shows it too because it hands networks\n\
+         below its threading threshold to that runner.\n\n",
     );
 
     out.push_str("## counters and samples\n\n");

@@ -185,13 +185,7 @@ impl AsyncExecutor {
         if self.threads != 0 {
             return self.threads.min(n.max(1));
         }
-        if slots < crate::engine::MIN_PARALLEL_SLOTS {
-            1
-        } else {
-            std::thread::available_parallelism()
-                .map_or(1, usize::from)
-                .min(n.max(1))
-        }
+        crate::par::thread_count(0, slots, n)
     }
 
     /// Runs `protocol` barrier-free and additionally returns the

@@ -4,17 +4,20 @@
 //! fast without changing a single observable bit:
 //!
 //! * [`mailbox`] — CSR-packed flat mailbox arenas with a precomputed
-//!   mirror table: O(1) message delivery, zero per-round allocation,
-//!   double-buffered across rounds — plus the per-port two-round
-//!   [`mailbox::RingBuffer`] the barrier-free engine runs on.
+//!   mirror table: O(1) message delivery, one arena reused across rounds
+//!   — plus the per-port two-round [`mailbox::RingBuffer`] the
+//!   barrier-free engine runs on.
 //! * [`engine`] — [`ParallelExecutor`], which runs the send and receive
-//!   phases across scoped threads over degree-balanced node ranges, and
-//!   fans out callers' independent branch computations (the Theorem 4.1
-//!   solver's parallel recursion) the same way via
-//!   [`Executor::execute_branches`]. Parallelism is observationally
-//!   invisible: outputs, round counts, message counts, and errors are
-//!   identical to the serial runner for every protocol, network, and
-//!   thread count (enforced by the differential suite in `tests/`).
+//!   phases across threads over degree-balanced node ranges, and fans out
+//!   callers' independent branch computations (the Theorem 4.1 solver's
+//!   parallel recursion) the same way via [`Executor::execute_branches`].
+//!   Work below [`par::MIN_PARALLEL_SLOTS`] runs on the calling thread
+//!   whatever thread count was requested (a network on the serial runner
+//!   itself), so the Theorem 4.1 recursion's many small executions spawn
+//!   nothing. Parallelism is observationally invisible: outputs, round
+//!   counts, message counts, and errors are identical to the serial runner
+//!   for every protocol, network, and thread count (enforced by the
+//!   differential suite in `tests/`).
 //! * [`async_engine`] — [`AsyncExecutor`], the barrier-free executor:
 //!   every node advances on its own component-local round counter
 //!   ([`clock::RoundClock`]) the moment its neighbors' messages are
@@ -39,8 +42,10 @@
 //!   are [`config::EngineEnvError`] values, never silent fallbacks.
 //!
 //! Threading is built on `std::thread::scope` (the build environment has no
-//! crates.io access, so `rayon` is unavailable; see `par.rs` for the exact
-//! swap-in point if that changes).
+//! crates.io access, so `rayon` is unavailable). The barrier engine's
+//! phases, its branch fan-out and the shard workers' phases all spawn
+//! through one helper, [`par::fan_out`], which is the swap-in point if that
+//! changes.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -7,17 +7,15 @@
 //! inbox of `(v, j)` *is* the outbox slot `mirror[offset(v) + j]`, read in
 //! O(1).
 //!
-//! Message storage is the dense [`PortArena`] (payload slots plus bitmap
+//! Message storage is the dense
+//! [`PortArena`](deco_local::arena::PortArena) (payload slots plus bitmap
 //! presence words — see [`deco_local::arena`]) rather than `Vec<Option<M>>`:
 //! a port costs `size_of::<M>()` bytes plus one bit, and the deliver path
 //! checks a presence bit instead of branching on an `Option` discriminant.
 //!
-//! Two arenas are kept and swapped every round (double buffering). Today
-//! the phases alternate strictly, every active slot is rewritten each
-//! round, and only the current buffer is ever read — functionally one arena
-//! would suffice. The second buffer exists so a pipelined mode can overlap
-//! `send(r+1)` with `receive(r)` without reallocation; until that lands its
-//! cost is one extra arena allocated once per execution.
+//! The barrier engine keeps one arena for a whole execution: its phases
+//! alternate strictly and every send phase rewrites or clears every slot,
+//! so a receive phase only ever reads its own round's messages.
 //!
 //! ```
 //! use deco_engine::MailboxPlan;
@@ -37,7 +35,6 @@
 //! ```
 
 use deco_graph::{Graph, NodeId};
-use deco_local::arena::PortArena;
 use std::sync::Mutex;
 
 /// Precomputed arena geometry for one graph: per-node slot offsets and the
@@ -103,46 +100,6 @@ impl MailboxPlan {
     }
 }
 
-/// A pair of flat message arenas, swapped across rounds.
-#[derive(Debug)]
-pub struct DoubleBuffer<M> {
-    cur: PortArena<M>,
-    prev: PortArena<M>,
-}
-
-impl<M: Clone + Default> DoubleBuffer<M> {
-    /// Allocates both arenas with `slots` entries, all vacant.
-    pub fn new(slots: usize) -> DoubleBuffer<M> {
-        DoubleBuffer {
-            cur: PortArena::new(slots),
-            prev: PortArena::new(slots),
-        }
-    }
-
-    /// The buffer the current round writes (send) and reads (receive).
-    #[inline]
-    pub fn current(&self) -> &PortArena<M> {
-        &self.cur
-    }
-
-    /// Mutable view of the current buffer, for the send phase.
-    #[inline]
-    pub fn current_mut(&mut self) -> &mut PortArena<M> {
-        &mut self.cur
-    }
-
-    /// Swaps the buffers at a round boundary.
-    #[inline]
-    pub fn swap(&mut self) {
-        std::mem::swap(&mut self.cur, &mut self.prev);
-    }
-
-    /// Heap bytes across both arenas (the scale reports' memory column).
-    pub fn heap_bytes(&self) -> usize {
-        self.cur.heap_bytes() + self.prev.heap_bytes()
-    }
-}
-
 /// Per-port two-round ring buffers for the barrier-free engine.
 ///
 /// Slot `k` of the [`MailboxPlan`] names a directed port: node `v`'s port
@@ -166,7 +123,8 @@ impl<M: Clone + Default> DoubleBuffer<M> {
 pub struct RingBuffer<M> {
     /// `slots[k]` holds the two-round ring of plan slot `k`: payload
     /// `vals[r % 2]` plus a two-bit presence mask, the per-port shape of
-    /// the same dense-arena diet [`PortArena`] applies globally (an
+    /// the same dense-arena diet
+    /// [`PortArena`](deco_local::arena::PortArena) applies globally (an
     /// `[Option<M>; 2]` would pay the niche tag twice per port).
     slots: Vec<Mutex<ParityCell<M>>>,
 }
@@ -294,16 +252,6 @@ mod tests {
         // Round 5 is silent on this port; it must mask round 3's entry.
         ring.publish(0, 5, None);
         assert_eq!(ring.take(0, 5), None);
-    }
-
-    #[test]
-    fn double_buffer_swaps() {
-        let mut buf: DoubleBuffer<u32> = DoubleBuffer::new(3);
-        buf.current_mut().set(1, 7);
-        buf.swap();
-        assert_eq!(buf.current().count_present(), 0);
-        buf.swap();
-        assert_eq!(buf.current().clone_out(1), Some(7));
     }
 
     #[test]

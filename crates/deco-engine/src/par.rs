@@ -2,13 +2,18 @@
 //!
 //! The engine's parallelism is intentionally simple: nodes are split into
 //! contiguous ranges balanced by degree sum, and each phase (send, receive)
-//! runs one scoped thread per range with mutable access only to that
-//! range's disjoint slices. Because the partition is a pure function of the
-//! graph and thread count, and because the phases are separated by the
-//! scope join (a full barrier), the execution is deterministic and
+//! runs the ranges through [`fan_out`] — the first on the calling thread,
+//! each other one on its own scoped thread — with mutable access only to
+//! that range's disjoint slices. Because the partition is a pure function
+//! of the graph and thread count, and because the phases are separated by
+//! the join (a full barrier), the execution is deterministic and
 //! observationally identical to the serial loop for *any* thread count —
 //! parallelism never changes outputs, round counts, or message counts,
 //! only wall-clock time.
+//!
+//! How many threads a phase gets is one rule, [`thread_count`]: work below
+//! [`MIN_PARALLEL_SLOTS`] runs on one thread whatever was requested, and a
+//! request above it is a cap, not a force.
 //!
 //! Implemented on `std::thread::scope` rather than `rayon`: the build
 //! environment has no registry access, and scoped threads cover everything
@@ -30,6 +35,65 @@
 use std::collections::VecDeque;
 use std::ops::Range;
 use std::sync::{Condvar, Mutex};
+
+/// Work below which the phase-parallel engine runs on one thread, whatever
+/// thread count was requested. Work is counted in arena slots (ports, `2m`)
+/// for a network and in summed branch weights for a branch batch. Below
+/// it, spawning and joining a phase's threads costs more than the phase's
+/// work, and the Theorem 4.1 recursion runs dozens of such small
+/// executions per solve. Outputs are identical on either side.
+pub const MIN_PARALLEL_SLOTS: usize = 4096;
+
+/// The phase-parallel engine's thread-count rule: the threads that a
+/// request for `requested` threads (0 = hardware parallelism) gets on
+/// `work` units spread over `items` nodes or branches. Work below
+/// [`MIN_PARALLEL_SLOTS`] gets one thread; otherwise the request, capped at
+/// one thread per item. The result only changes wall time.
+pub fn thread_count(requested: usize, work: usize, items: usize) -> usize {
+    if work < MIN_PARALLEL_SLOTS {
+        return 1;
+    }
+    let cap = match requested {
+        0 => std::thread::available_parallelism().map_or(1, usize::from),
+        t => t,
+    };
+    cap.min(items.max(1))
+}
+
+/// Runs `f` on every part and returns the results in part order. The first
+/// part runs on the calling thread and each further part on its own scoped
+/// thread, so `k` parts cost `k − 1` spawns; a single part runs inline
+/// without a scope. A panic in any part is re-raised on the caller with its
+/// original payload once every part has stopped.
+pub fn fan_out<I, R, F>(parts: impl IntoIterator<Item = I>, f: F) -> Vec<R>
+where
+    I: Send,
+    R: Send,
+    F: Fn(I) -> R + Sync,
+{
+    let mut parts = parts.into_iter();
+    let Some(first) = parts.next() else {
+        return Vec::new();
+    };
+    let mut rest = parts.peekable();
+    if rest.peek().is_none() {
+        return vec![f(first)];
+    }
+    std::thread::scope(|scope| {
+        let f = &f;
+        let handles: Vec<_> = rest.map(|part| scope.spawn(move || f(part))).collect();
+        let mut results = Vec::with_capacity(handles.len() + 1);
+        results.push(f(first));
+        for handle in handles {
+            results.push(
+                handle
+                    .join()
+                    .unwrap_or_else(|payload| std::panic::resume_unwind(payload)),
+            );
+        }
+        results
+    })
+}
 
 /// Splits `0..weights.len()` into at most `parts` contiguous ranges whose
 /// weight sums are approximately balanced. The per-range target is
@@ -209,6 +273,71 @@ impl WorkQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn thread_count_rule_table() {
+        let hw = std::thread::available_parallelism().map_or(1, usize::from);
+        let below = MIN_PARALLEL_SLOTS - 1;
+        let at = MIN_PARALLEL_SLOTS;
+        // (requested, work, items) → threads; requested 0 = auto.
+        let table = [
+            // Below the threshold: one thread for auto and every request.
+            ((0, 0, 100), 1),
+            ((0, below, 100), 1),
+            ((1, below, 100), 1),
+            ((2, below, 100), 1),
+            ((4, below, 100), 1),
+            ((64, below, 100), 1),
+            // At or above it: min(request, items).
+            ((1, at, 100), 1),
+            ((2, at, 100), 2),
+            ((4, 10 * at, 100), 4),
+            ((64, at, 100), 64),
+            ((8, at, 3), 3),
+            ((8, at, 0), 1),
+            // Auto: hardware parallelism, capped at the items.
+            ((0, at, 100), hw.min(100)),
+            ((0, at, 1), 1),
+        ];
+        for ((requested, work, items), want) in table {
+            assert_eq!(
+                thread_count(requested, work, items),
+                want,
+                "requested={requested} work={work} items={items}"
+            );
+        }
+    }
+
+    #[test]
+    fn fan_out_runs_the_first_part_inline_and_keeps_part_order() {
+        let caller = std::thread::current().id();
+        let out = fan_out(0..4, |i| (i, std::thread::current().id()));
+        assert_eq!(out.iter().map(|r| r.0).collect::<Vec<_>>(), [0, 1, 2, 3]);
+        assert_eq!(out[0].1, caller, "part 0 runs on the calling thread");
+        assert!(out[1..].iter().all(|r| r.1 != caller), "{out:?}");
+
+        assert_eq!(
+            fan_out([7], |i| (i, std::thread::current().id())),
+            [(7, caller)]
+        );
+        assert!(fan_out(std::iter::empty::<usize>(), |i| i).is_empty());
+    }
+
+    #[test]
+    fn fan_out_reraises_the_original_panic() {
+        let payload = std::panic::catch_unwind(|| {
+            fan_out(0..3, |i| {
+                assert_ne!(i, 2, "part two failed");
+                i
+            })
+        })
+        .expect_err("the panic of part 2 reaches the caller");
+        let msg = payload
+            .downcast_ref::<String>()
+            .cloned()
+            .unwrap_or_default();
+        assert!(msg.contains("part two failed"), "got: {msg}");
+    }
 
     #[test]
     fn split_tiles_the_index_space() {

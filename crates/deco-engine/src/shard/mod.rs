@@ -372,9 +372,10 @@ impl Executor for ShardedExecutor {
     }
 
     /// Branch fan-out is round-free, so shard boundaries buy nothing
-    /// there: branches fan out over `shards × threads_per_shard` scoped
-    /// worker threads through the phase-parallel engine's weight-balanced
-    /// splitter, index-ordered like every executor.
+    /// there: branches fan out over at most `shards × threads_per_shard`
+    /// threads through the phase-parallel engine, under its thread-count
+    /// rule ([`crate::par::thread_count`]), index-ordered like every
+    /// executor.
     fn execute_branches<T, F>(&self, weights: &[usize], run: F) -> Vec<T>
     where
         T: Send,
@@ -597,7 +598,8 @@ mod tests {
 
     #[test]
     fn branch_execution_matches_serial_default() {
-        let weights: Vec<usize> = (0..19).map(|i| (i * 5) % 4 + 1).collect();
+        let weights: Vec<usize> = (0..19).map(|i| ((i * 5) % 4 + 1) * 128).collect();
+        assert!(weights.iter().sum::<usize>() >= crate::par::MIN_PARALLEL_SLOTS);
         let job = |i: usize| (i, (i as u64).pow(2) % 13);
         let serial = SerialExecutor.execute_branches(&weights, job);
         for shards in [1, 2, 4] {

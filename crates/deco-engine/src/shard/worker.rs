@@ -24,8 +24,8 @@
 //! observable behavior.
 
 use super::plan::ShardPlan;
-use crate::par::{split_by_weight, split_mut_by_ranges};
-use deco_local::arena::{ArenaWriter, PortArena};
+use crate::par::{fan_out, split_by_weight, split_mut_by_ranges};
+use deco_local::arena::PortArena;
 use deco_local::network::Network;
 use deco_local::runner::{NodeProgram, Protocol};
 use std::ops::Range;
@@ -35,7 +35,9 @@ pub(crate) struct ShardWorker<'a, 'g, P: Protocol> {
     net: &'a Network<'g>,
     plan: &'a ShardPlan,
     shard: usize,
-    threads: usize,
+    /// Degree-balanced sub-ranges of the local node indices, one per
+    /// intra-shard phase thread.
+    sub: Vec<Range<usize>>,
     programs: Vec<P::Program>,
     outputs: Vec<Option<<P::Program as NodeProgram>::Output>>,
     halted: Vec<bool>,
@@ -78,12 +80,13 @@ where
             .collect();
         let halted: Vec<bool> = outputs.iter().map(Option::is_some).collect();
         let active = halted.iter().filter(|h| !**h).count();
+        let weights: Vec<usize> = range.map(|v| net.graph().degree(v.into())).collect();
         let slots = plan.slot_range(shard).len();
         ShardWorker {
             net,
             plan,
             shard,
-            threads: threads.max(1),
+            sub: split_by_weight(&weights, threads),
             programs,
             outputs,
             halted,
@@ -125,11 +128,19 @@ where
         let net = self.net;
         let plan = self.plan;
         let halted = &self.halted;
-
-        let run_chunk = |chunk: Range<usize>,
-                         progs: &mut [P::Program],
-                         writer: &mut ArenaWriter<'_, <P::Program as NodeProgram>::Msg>|
-         -> u64 {
+        let offsets = plan.mailbox().offsets();
+        let slot_sub: Vec<Range<usize>> = self
+            .sub
+            .iter()
+            .map(|r| offsets[range.start + r.start] - slo..offsets[range.start + r.end] - slo)
+            .collect();
+        let parts = self
+            .sub
+            .iter()
+            .cloned()
+            .zip(split_mut_by_ranges(&mut self.programs, &self.sub))
+            .zip(self.arena.split_writers(&slot_sub));
+        let sent: u64 = fan_out(parts, |((chunk, progs), mut writer)| {
             // `chunk` is in local node indices; the writer covers exactly the
             // chunk's shard-local slot range.
             let mut sent = 0u64;
@@ -157,43 +168,9 @@ where
                 }
             }
             sent
-        };
-
-        let n_local = range.len();
-        let sub = self.sub_ranges(n_local);
-        let slot_sub: Vec<Range<usize>> = sub
-            .iter()
-            .map(|r| {
-                (plan.mailbox().offsets()[range.start + r.start] - slo)
-                    ..(plan.mailbox().offsets()[range.start + r.end] - slo)
-            })
-            .collect();
-        let mut writers = self.arena.split_writers(&slot_sub);
-        let sent = if writers.len() <= 1 {
-            match writers.first_mut() {
-                Some(w) => run_chunk(0..n_local, &mut self.programs, w),
-                None => 0,
-            }
-        } else {
-            let prog_chunks = split_mut_by_ranges(&mut self.programs, &sub);
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = sub
-                    .iter()
-                    .zip(prog_chunks)
-                    .zip(writers.iter_mut())
-                    .map(|((r, progs), writer)| {
-                        let r = r.clone();
-                        let run_chunk = &run_chunk;
-                        scope.spawn(move || run_chunk(r, progs, writer))
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("shard send chunk panicked"))
-                    .sum()
-            })
-        };
-        drop(writers);
+        })
+        .into_iter()
+        .sum();
 
         let cut_ports = self.plan.cut_ports(self.shard);
         let mut cut_out = PortArena::new(cut_ports.len());
@@ -225,11 +202,14 @@ where
             "one ghost entry per cut port"
         );
 
-        let run_chunk = |chunk: Range<usize>,
-                         progs: &mut [P::Program],
-                         outs: &mut [Option<<P::Program as NodeProgram>::Output>],
-                         halts: &mut [bool]|
-         -> usize {
+        let parts = self
+            .sub
+            .iter()
+            .cloned()
+            .zip(split_mut_by_ranges(&mut self.programs, &self.sub))
+            .zip(split_mut_by_ranges(&mut self.outputs, &self.sub))
+            .zip(split_mut_by_ranges(&mut self.halted, &self.sub));
+        let newly_halted: usize = fan_out(parts, |(((chunk, progs), outs), halts)| {
             let mut inbox: Vec<Option<<P::Program as NodeProgram>::Msg>> = Vec::new();
             let mut newly_halted = 0usize;
             for i in chunk.clone() {
@@ -259,39 +239,9 @@ where
                 }
             }
             newly_halted
-        };
-
-        let n_local = range.len();
-        let sub = self.sub_ranges(n_local);
-        let newly_halted = if sub.len() <= 1 {
-            run_chunk(
-                0..n_local,
-                &mut self.programs,
-                &mut self.outputs,
-                &mut self.halted,
-            )
-        } else {
-            let prog_chunks = split_mut_by_ranges(&mut self.programs, &sub);
-            let out_chunks = split_mut_by_ranges(&mut self.outputs, &sub);
-            let halt_chunks = split_mut_by_ranges(&mut self.halted, &sub);
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = sub
-                    .iter()
-                    .zip(prog_chunks)
-                    .zip(out_chunks)
-                    .zip(halt_chunks)
-                    .map(|(((r, progs), outs), halts)| {
-                        let r = r.clone();
-                        let run_chunk = &run_chunk;
-                        scope.spawn(move || run_chunk(r, progs, outs, halts))
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("shard receive chunk panicked"))
-                    .sum()
-            })
-        };
+        })
+        .into_iter()
+        .sum();
 
         self.completed += 1;
         if newly_halted > 0 {
@@ -311,19 +261,5 @@ where
             .into_iter()
             .map(|o| o.expect("shard finished with every node halted"))
             .collect()
-    }
-
-    /// Degree-balanced sub-ranges of the local index space for intra-shard
-    /// phase threading (one range when the worker is single-threaded).
-    fn sub_ranges(&self, n_local: usize) -> Vec<Range<usize>> {
-        if self.threads <= 1 || n_local <= 1 {
-            return (n_local > 0).then_some(0..n_local).into_iter().collect();
-        }
-        let range = self.plan.node_range(self.shard);
-        let weights: Vec<usize> = range
-            .clone()
-            .map(|v| self.net.graph().degree(v.into()))
-            .collect();
-        split_by_weight(&weights, self.threads)
     }
 }

@@ -207,12 +207,16 @@ fn luby_protocol_differential() {
 }
 
 /// Engine-at-scale sanity: a graph large enough to cross the threading
-/// threshold, so multi-threaded chunks genuinely interleave.
+/// threshold, so multi-threaded chunks genuinely interleave. Below it the
+/// barrier engine runs every thread count on the serial runner.
 #[test]
 fn large_graph_crosses_parallel_threshold() {
     use deco_graph::generators;
     let g = generators::random_regular(4000, 16, 3);
-    assert!(g.degree_sum() >= 4096, "must exercise the threaded path");
+    assert!(
+        g.degree_sum() >= deco_engine::par::MIN_PARALLEL_SLOTS,
+        "must exercise the threaded path"
+    );
     let net = Network::new(&g, IdAssignment::SparseRandom(8));
     differential("large-regular/flood", &net, &FloodMax { radius: 4 }, 10);
     differential("large-regular/echo", &net, &PortEcho { rounds: 3 }, 10);

@@ -21,8 +21,9 @@ pub enum Phase {
     Round,
     /// The send half of a round: gathering every node's outgoing messages.
     Send,
-    /// The delivery half of a round (serial runner only; the engines
-    /// deliver implicitly through mirror-slot reads during `Receive`).
+    /// The delivery half of a round (serial runner only, which the barrier
+    /// engine hands sub-threshold networks to; the engines deliver
+    /// implicitly through mirror-slot reads during `Receive`).
     Deliver,
     /// The receive half of a round: processing inboxes and re-evaluating
     /// outputs.

@@ -399,16 +399,30 @@ pub fn peak_rss_bytes() -> Option<u64> {
 }
 
 /// Temporarily ensures a sink is installed (a ring, if tracing was off) so
-/// metrics can be collected; restores `Off` on drop if this guard did the
-/// installing. Used by experiments that want metrics regardless of env.
+/// metrics can be collected. Guards are counted process-wide: the sink
+/// stays installed while any guard is alive, and `Off` is restored when the
+/// last one drops if the first one did the installing. Used by experiments
+/// that want metrics regardless of env.
 #[derive(Debug)]
 pub struct MeasureGuard {
-    installed_here: bool,
+    _private: (),
+}
+
+/// Live [`MeasureGuard`]s, and whether the first of them installed the ring.
+static MEASURING: Mutex<(usize, bool)> = Mutex::new((0, false));
+
+fn measuring() -> std::sync::MutexGuard<'static, (usize, bool)> {
+    // Plain counters, consistent at every step: a poisoned lock is usable.
+    MEASURING
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 impl Drop for MeasureGuard {
     fn drop(&mut self) {
-        if self.installed_here {
+        let mut m = measuring();
+        m.0 -= 1;
+        if m.0 == 0 && m.1 {
             let _ = install(TraceConfig::off());
         }
     }
@@ -416,16 +430,12 @@ impl Drop for MeasureGuard {
 
 /// See [`MeasureGuard`].
 pub fn measure() -> MeasureGuard {
-    if enabled() {
-        MeasureGuard {
-            installed_here: false,
-        }
-    } else {
-        let _ = install(TraceConfig::ring());
-        MeasureGuard {
-            installed_here: true,
-        }
+    let mut m = measuring();
+    if m.0 == 0 {
+        m.1 = !enabled() && install(TraceConfig::ring()).is_ok();
     }
+    m.0 += 1;
+    MeasureGuard { _private: () }
 }
 
 #[cfg(test)]
@@ -555,6 +565,18 @@ mod tests {
             count(Counter::Rounds, 9);
             assert_eq!(scope.finish().unwrap().counter(Counter::Rounds), Some(9));
         }
+        assert!(!enabled());
+    }
+
+    #[test]
+    fn overlapping_measure_guards_keep_the_sink_until_the_last_drops() {
+        let _g = guard();
+        install(TraceConfig::off()).unwrap();
+        let first = measure();
+        let second = measure();
+        drop(first);
+        assert!(enabled(), "a live guard keeps tracing on");
+        drop(second);
         assert!(!enabled());
     }
 }

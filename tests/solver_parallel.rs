@@ -11,8 +11,9 @@ use deco::core_alg::instance;
 use deco::core_alg::solver::{
     solve_pipeline, solve_two_delta_minus_one, SolveError, Solver, SolverConfig,
 };
+use deco::engine::par::MIN_PARALLEL_SLOTS;
 use deco::engine::{EngineMode, GraphSpec, IdFlavor, ParallelExecutor, Scenario, ShardedExecutor};
-use deco::graph::{generators, Graph};
+use deco::graph::{generators, Graph, LineGraph};
 use deco::Runtime;
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 4];
@@ -100,6 +101,13 @@ fn scenario_matrix_families_match_serial() {
     for (i, spec) in specs.into_iter().enumerate() {
         let scenario = Scenario::new(spec, IdFlavor::Shuffled, 5 + i as u64);
         let g = scenario.graph();
+        if i == 0 {
+            // Smaller networks run on the serial runner whatever the thread
+            // count; this L(G) does not, so the top-level Linial run of every
+            // barrier entry in the lineup goes through the threaded phases.
+            let ports = LineGraph::of(&g).graph().degree_sum();
+            assert!(ports >= MIN_PARALLEL_SLOTS, "L(G) has {ports} ports");
+        }
         differential(&scenario.name, &g, SolverConfig::default());
     }
 }
