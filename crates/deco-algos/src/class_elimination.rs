@@ -247,6 +247,38 @@ mod tests {
     }
 
     #[test]
+    fn first_deg_plus_one_colors_decide_the_coloring() {
+        // Each node picks its smallest color that no finalized neighbour
+        // holds; at most deg(v) are held, so that color is among the list's
+        // first deg(v)+1 and cutting every list there changes nothing.
+        for seed in 0..24u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let g = generators::gnp(40, 0.2, seed);
+            let (_, initial, k) = random_instance(&g, 8, seed);
+            let c_max = 3 * g.max_degree() as u32 + 8;
+            let full: Vec<Vec<u32>> = g
+                .nodes()
+                .map(|v| {
+                    let mut all: Vec<u32> = (0..c_max).collect();
+                    all.shuffle(&mut rng);
+                    all.truncate(rng.gen_range(g.degree(v) + 1..=c_max as usize));
+                    all.sort_unstable();
+                    all
+                })
+                .collect();
+            let cut: Vec<Vec<u32>> = g
+                .nodes()
+                .map(|v| full[v.index()][..=g.degree(v)].to_vec())
+                .collect();
+            assert_eq!(
+                list_color_by_classes(&g, &full, &initial, k),
+                list_color_by_classes(&g, &cut, &initial, k),
+                "seed {seed}"
+            );
+        }
+    }
+
+    #[test]
     fn message_passing_matches_centralized() {
         let g = generators::random_regular(30, 4, 7);
         let (lists, initial, k) = random_instance(&g, 32, 21);

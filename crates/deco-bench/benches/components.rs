@@ -28,7 +28,7 @@ fn x_palette(x: &[u32]) -> u32 {
 }
 
 fn greedy_colors(inst: &ListInstance) -> Vec<Color> {
-    let lists: Vec<Vec<Color>> = inst.lists().iter().map(|l| l.as_slice().to_vec()).collect();
+    let lists: Vec<Vec<Color>> = inst.lists().iter().map(|l| l.to_vec()).collect();
     let coloring = greedy::greedy_list_edge_coloring(inst.graph(), &lists, greedy::EdgeOrder::ById)
         .expect("feasible");
     inst.graph()

@@ -91,7 +91,7 @@ pub fn run(_rt: &Runtime) -> String {
     // only ever intersect the list).
     let mut solved_edges = 0usize;
     for (inst, _) in &current {
-        let lists: Vec<Vec<Color>> = inst.lists().iter().map(|l| l.as_slice().to_vec()).collect();
+        let lists: Vec<Vec<Color>> = inst.lists().iter().map(|l| l.to_vec()).collect();
         let coloring =
             greedy::greedy_list_edge_coloring(inst.graph(), &lists, greedy::EdgeOrder::ById)
                 .expect("leaf instances are (deg+1)-feasible");

@@ -41,7 +41,7 @@ pub fn greedy_assign(
     inst: &ListInstance,
     _x: &[u32],
 ) -> Result<(Vec<Color>, CostNode), SolveError> {
-    let lists: Vec<Vec<Color>> = inst.lists().iter().map(|l| l.as_slice().to_vec()).collect();
+    let lists: Vec<Vec<Color>> = inst.lists().iter().map(|l| l.to_vec()).collect();
     let coloring = deco_algos::greedy::greedy_list_edge_coloring(
         inst.graph(),
         &lists,

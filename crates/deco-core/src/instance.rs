@@ -147,17 +147,18 @@ impl ListInstance {
         self.graph.max_edge_degree()
     }
 
-    /// Checks every list color is inside the palette.
+    /// Checks every list color is inside the palette. Each list is asked
+    /// for its first color at or above the palette, so no color below the
+    /// palette is visited.
     ///
     /// # Errors
     ///
-    /// Returns the first [`InstanceError::ColorOutOfPalette`] found.
+    /// Returns [`InstanceError::ColorOutOfPalette`] for the first offending
+    /// edge, naming its smallest out-of-palette color.
     pub fn validate_palette(&self) -> Result<(), InstanceError> {
         for e in self.graph.edges() {
-            for c in self.lists[e.index()].iter() {
-                if c >= self.palette {
-                    return Err(InstanceError::ColorOutOfPalette { edge: e, color: c });
-                }
+            if let Some(color) = self.lists[e.index()].first_from(self.palette) {
+                return Err(InstanceError::ColorOutOfPalette { edge: e, color });
             }
         }
         Ok(())
@@ -324,6 +325,35 @@ mod tests {
             err,
             InstanceError::ColorOutOfPalette { color: 99, .. }
         ));
+    }
+
+    #[test]
+    fn palette_validation_names_the_smallest_stray_color() {
+        // Palette 70: the strays of edge 1 sit in the palette's last word
+        // (70) and in later words (130, 500); edge 0 is clean.
+        let g = generators::path(3);
+        let lists = vec![
+            ColorList::range(0, 70),
+            ColorList::new(vec![1, 2, 500, 130, 70]),
+        ];
+        let err = ListInstance::new(g.clone(), lists, 70).unwrap_err();
+        assert_eq!(
+            err,
+            InstanceError::ColorOutOfPalette {
+                edge: EdgeId(1),
+                color: 70
+            }
+        );
+        // The stray alone in a later word than the palette's last.
+        let lists = vec![ColorList::range(0, 2), ColorList::new(vec![0, 1, 2, 200])];
+        let err = ListInstance::new(g, lists, 64).unwrap_err();
+        assert_eq!(
+            err,
+            InstanceError::ColorOutOfPalette {
+                edge: EdgeId(1),
+                color: 200
+            }
+        );
     }
 
     #[test]

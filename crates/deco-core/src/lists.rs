@@ -1,6 +1,13 @@
 //! Color lists and color-space partitions.
 //!
-//! Lists are sorted, deduplicated color vectors over a palette `{0, …, C−1}`.
+//! A list is a subset of a palette `{0, …, C−1}`, stored as palette bit
+//! words: bit `c mod 64` of word `⌊c/64⌋` is set iff color `c` is in the
+//! list. That is the shape the paper's list operations already have —
+//! Lemma 4.2 strikes neighbours' colors from a list, Lemmas 4.3–4.4 count a
+//! list's colors inside contiguous palette blocks — so a removal clears one
+//! bit, and a block count is a masked popcount over the words the block
+//! spans.
+//!
 //! A [`SubspacePartition`] splits the palette into `q ≤ 2p` contiguous
 //! blocks of size ≤ `C/p` (the partition Lemma 4.3 requires; the paper notes
 //! such a partition always exists). [`level_of`] computes the "level" `ℓ(e)`
@@ -11,100 +18,229 @@ use deco_graph::coloring::Color;
 use deco_local::math::{floor_log2, harmonic};
 use std::fmt;
 
-/// A sorted, duplicate-free list of candidate colors for one edge.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+/// Bits per storage word.
+const WORD_BITS: u32 = u64::BITS;
+
+/// The word holding color `c`.
+#[inline]
+fn word_of(c: Color) -> usize {
+    (c / WORD_BITS) as usize
+}
+
+/// Color `c`'s bit within its word.
+#[inline]
+fn bit_of(c: Color) -> u64 {
+    1 << (c % WORD_BITS)
+}
+
+/// Words needed to store the colors of `[lo, hi)`.
+fn words_for(lo: Color, hi: Color) -> usize {
+    if lo < hi {
+        hi.div_ceil(WORD_BITS) as usize
+    } else {
+        0
+    }
+}
+
+/// The `(word, mask)` pairs covering the colors of `[lo, hi)` that lie in
+/// the first `words` words, in ascending word order.
+fn range_masks(lo: Color, hi: Color, words: usize) -> impl Iterator<Item = (usize, u64)> {
+    let bits = u64::from(WORD_BITS);
+    let (lo, hi) = (u64::from(lo), u64::from(hi).min(words as u64 * bits));
+    let end = if lo < hi { hi.div_ceil(bits) } else { 0 };
+    (lo / bits..end).map(move |w| {
+        let start = lo.max(w * bits) - w * bits;
+        let stop = hi.min((w + 1) * bits) - w * bits;
+        (w as usize, (u64::MAX >> (bits - (stop - start))) << start)
+    })
+}
+
+/// A set of candidate colors for one edge, stored as palette bit words.
+///
+/// The list holds `⌈(m + 1)/64⌉` `u64` words, where `m` is the largest color
+/// it was built with, plus a cached length. Inside a [`ListInstance`] every
+/// color is below the palette `C`, so a list costs at most `⌈C/64⌉` words:
+/// a full 2,125-color palette takes 34 words (272 B), where a sorted `u32`
+/// vector of the same colors takes 8.5 KB.
+///
+/// [`ColorList::remove`] clears one bit in O(1), [`ColorList::remove_all`]
+/// one bit per forbidden color with no sort, [`ColorList::contains`] tests
+/// one word, and [`ColorList::count_in_range`] /
+/// [`ColorList::restrict_to_range`] are masked popcounts and copies of the
+/// words the range spans. [`ColorList::iter`] walks the set bits in
+/// increasing color order. Removals never shrink the storage, so equality
+/// compares colors, not words: trailing all-zero words do not count.
+///
+/// [`ListInstance`]: crate::instance::ListInstance
+#[derive(Clone, Default)]
 pub struct ColorList {
-    colors: Vec<Color>,
+    /// Bit `c % 64` of `words[c / 64]` is set iff color `c` is listed.
+    words: Vec<u64>,
+    /// Number of set bits.
+    len: usize,
 }
 
 impl ColorList {
-    /// Builds a list from arbitrary colors (sorted and deduplicated).
-    pub fn new(mut colors: Vec<Color>) -> ColorList {
-        colors.sort_unstable();
-        colors.dedup();
-        ColorList { colors }
+    /// Builds a list from arbitrary colors (in any order, duplicates
+    /// ignored), in `⌈(max color + 1)/64⌉` words.
+    pub fn new(colors: Vec<Color>) -> ColorList {
+        let mut words = vec![0; colors.iter().max().map_or(0, |&c| word_of(c) + 1)];
+        for c in colors {
+            words[word_of(c)] |= bit_of(c);
+        }
+        ColorList::from_words(words)
     }
 
     /// The contiguous list `{lo, …, hi−1}`.
     pub fn range(lo: Color, hi: Color) -> ColorList {
-        ColorList {
-            colors: (lo..hi).collect(),
+        let mut words = vec![0; words_for(lo, hi)];
+        for (w, mask) in range_masks(lo, hi, words.len()) {
+            words[w] = mask;
         }
+        ColorList::from_words(words)
+    }
+
+    fn from_words(words: Vec<u64>) -> ColorList {
+        let len = words.iter().map(|w| w.count_ones() as usize).sum();
+        ColorList { words, len }
     }
 
     /// Number of colors in the list.
     #[inline]
     pub fn len(&self) -> usize {
-        self.colors.len()
+        self.len
     }
 
     /// Whether the list is empty.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.colors.is_empty()
+        self.len == 0
     }
 
     /// Whether `c` is in the list.
+    #[inline]
     pub fn contains(&self, c: Color) -> bool {
-        self.colors.binary_search(&c).is_ok()
+        self.words
+            .get(word_of(c))
+            .is_some_and(|w| w & bit_of(c) != 0)
     }
 
-    /// Iterates over the colors in increasing order.
+    /// Iterates over the colors in increasing order. The iterator reports
+    /// its exact length, so collecting it allocates once.
     pub fn iter(&self) -> impl Iterator<Item = Color> + '_ {
-        self.colors.iter().copied()
+        Colors {
+            words: &self.words,
+            word: 0,
+            bits: self.words.first().copied().unwrap_or(0),
+            left: self.len,
+        }
     }
 
     /// The smallest color, if any.
     pub fn first(&self) -> Option<Color> {
-        self.colors.first().copied()
+        self.first_from(0)
+    }
+
+    /// The smallest color `≥ lo`, if any. Reads only the words from the one
+    /// holding `lo` onward, so asking for the first color at or above the
+    /// palette reads no word below it.
+    pub fn first_from(&self, lo: Color) -> Option<Color> {
+        let start = word_of(lo);
+        let head = self.words.get(start)? & (u64::MAX << (lo % WORD_BITS));
+        std::iter::once(head)
+            .chain(self.words[start + 1..].iter().copied())
+            .enumerate()
+            .find(|&(_, bits)| bits != 0)
+            .map(|(i, bits)| (start + i) as Color * WORD_BITS + bits.trailing_zeros())
     }
 
     /// Removes `c` if present; returns whether it was present.
     pub fn remove(&mut self, c: Color) -> bool {
-        match self.colors.binary_search(&c) {
-            Ok(i) => {
-                self.colors.remove(i);
-                true
-            }
-            Err(_) => false,
-        }
+        let Some(w) = self.words.get_mut(word_of(c)) else {
+            return false;
+        };
+        let present = *w & bit_of(c) != 0;
+        *w &= !bit_of(c);
+        self.len -= usize::from(present);
+        present
     }
 
-    /// Removes every color in `forbidden` (need not be sorted).
+    /// Removes every color in `forbidden` (in any order, duplicates
+    /// allowed): one bit each.
     pub fn remove_all(&mut self, forbidden: &[Color]) {
-        if forbidden.is_empty() {
-            return;
+        for &c in forbidden {
+            self.remove(c);
         }
-        let mut f = forbidden.to_vec();
-        f.sort_unstable();
-        self.colors.retain(|c| f.binary_search(c).is_err());
     }
 
-    /// Number of colors in `self ∩ [lo, hi)` (O(log n) via binary search —
-    /// the partition blocks are contiguous, so intersections are ranges).
+    /// Number of colors in `self ∩ [lo, hi)`: a masked popcount over the
+    /// words the range spans (the partition blocks are contiguous, so
+    /// intersections are ranges).
     pub fn count_in_range(&self, lo: Color, hi: Color) -> usize {
-        let a = self.colors.partition_point(|&c| c < lo);
-        let b = self.colors.partition_point(|&c| c < hi);
-        b - a
+        range_masks(lo, hi, self.words.len())
+            .map(|(w, mask)| (self.words[w] & mask).count_ones() as usize)
+            .sum()
     }
 
     /// The sub-list `self ∩ [lo, hi)`.
     pub fn restrict_to_range(&self, lo: Color, hi: Color) -> ColorList {
-        let a = self.colors.partition_point(|&c| c < lo);
-        let b = self.colors.partition_point(|&c| c < hi);
-        ColorList {
-            colors: self.colors[a..b].to_vec(),
+        let mut words = vec![0; words_for(lo, hi).min(self.words.len())];
+        for (w, mask) in range_masks(lo, hi, words.len()) {
+            words[w] = self.words[w] & mask;
         }
+        ColorList::from_words(words)
     }
 
-    /// The raw sorted slice.
-    pub fn as_slice(&self) -> &[Color] {
-        &self.colors
+    /// The colors in increasing order.
+    pub fn to_vec(&self) -> Vec<Color> {
+        self.iter().collect()
+    }
+}
+
+/// Increasing-order iterator over a [`ColorList`]'s set bits.
+struct Colors<'a> {
+    words: &'a [u64],
+    /// Index of the word `bits` came from.
+    word: usize,
+    /// The not yet visited bits of `words[word]`.
+    bits: u64,
+    /// Colors not yet yielded.
+    left: usize,
+}
+
+impl Iterator for Colors<'_> {
+    type Item = Color;
+
+    fn next(&mut self) -> Option<Color> {
+        while self.bits == 0 {
+            self.word += 1;
+            self.bits = *self.words.get(self.word)?;
+        }
+        let bit = self.bits.trailing_zeros();
+        self.bits &= self.bits - 1;
+        self.left -= 1;
+        Some(self.word as Color * WORD_BITS + bit)
     }
 
-    /// Consumes the list, returning the sorted color vector.
-    pub fn into_vec(self) -> Vec<Color> {
-        self.colors
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+}
+
+impl PartialEq for ColorList {
+    /// Equal lengths and equal common words leave no color in the longer
+    /// list's extra words.
+    fn eq(&self, other: &ColorList) -> bool {
+        let common = self.words.len().min(other.words.len());
+        self.len == other.len && self.words[..common] == other.words[..common]
+    }
+}
+
+impl Eq for ColorList {}
+
+impl fmt::Debug for ColorList {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_set().entries(self.iter()).finish()
     }
 }
 
@@ -117,7 +253,7 @@ impl FromIterator<Color> for ColorList {
 impl fmt::Display for ColorList {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{{")?;
-        for (i, c) in self.colors.iter().enumerate() {
+        for (i, c) in self.iter().enumerate() {
             if i > 0 {
                 write!(f, ",")?;
             }
@@ -292,25 +428,68 @@ mod tests {
     #[test]
     fn list_basics() {
         let mut l = ColorList::new(vec![5, 1, 3, 3, 1]);
-        assert_eq!(l.as_slice(), &[1, 3, 5]);
+        assert_eq!(l.to_vec(), [1, 3, 5]);
         assert_eq!(l.len(), 3);
         assert!(l.contains(3));
         assert!(!l.contains(2));
+        assert!(!l.contains(1000), "colors past the storage are absent");
         assert!(l.remove(3));
         assert!(!l.remove(3));
+        assert!(!l.remove(1000));
         assert_eq!(l.len(), 2);
-        l.remove_all(&[5, 9]);
-        assert_eq!(l.as_slice(), &[1]);
+        l.remove_all(&[5, 9, 5]);
+        assert_eq!(l.to_vec(), [1]);
         assert_eq!(l.first(), Some(1));
         assert_eq!(l.to_string(), "{1}");
+        assert_eq!(format!("{l:?}"), "{1}");
     }
 
     #[test]
     fn range_queries() {
         let l = ColorList::range(0, 10);
         assert_eq!(l.count_in_range(3, 7), 4);
-        assert_eq!(l.restrict_to_range(8, 20).as_slice(), &[8, 9]);
+        assert_eq!(l.restrict_to_range(8, 20).to_vec(), [8, 9]);
         assert_eq!(l.count_in_range(10, 20), 0);
+        assert!(ColorList::range(7, 7).is_empty());
+        assert!(ColorList::range(9, 3).is_empty());
+    }
+
+    #[test]
+    fn ranges_straddle_word_edges() {
+        let l = ColorList::range(60, 200);
+        assert_eq!(l.len(), 140);
+        assert_eq!(l.first(), Some(60));
+        assert_eq!(l.iter().last(), Some(199));
+        assert_eq!(l.count_in_range(0, 64), 4);
+        assert_eq!(l.count_in_range(64, 128), 64);
+        assert_eq!(l.count_in_range(63, 129), 66);
+        assert_eq!(l.count_in_range(199, u32::MAX), 1);
+        assert_eq!(l.restrict_to_range(127, 129).to_vec(), [127, 128]);
+        assert_eq!(l.first_from(0), Some(60));
+        assert_eq!(l.first_from(128), Some(128));
+        assert_eq!(l.first_from(200), None);
+        assert_eq!(l.first_from(u32::MAX), None);
+    }
+
+    #[test]
+    fn equality_ignores_storage() {
+        // Two words, the second emptied by removals, against one word.
+        let mut wide = ColorList::range(0, 70);
+        wide.remove_all(&(64..70).collect::<Vec<_>>());
+        assert_eq!(wide, ColorList::range(0, 64));
+        assert_eq!(ColorList::range(0, 64), wide);
+        assert_eq!(ColorList::new(vec![3, 200]).restrict_to_range(0, 100), {
+            let mut l = ColorList::new(vec![3]);
+            l.remove(7);
+            l
+        });
+        assert_ne!(wide, ColorList::range(0, 63));
+        assert_ne!(ColorList::new(vec![1, 64]), ColorList::new(vec![1, 65]));
+        assert_eq!(ColorList::default(), ColorList::range(5, 5));
+        assert_eq!(
+            ColorList::new(vec![]),
+            ColorList::from_iter([9]).restrict_to_range(0, 9)
+        );
     }
 
     #[test]

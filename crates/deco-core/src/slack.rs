@@ -391,7 +391,7 @@ mod tests {
     /// An inner "solver" that greedily colors the slack-β instance — valid
     /// for tests because slack > β ≥ 1 implies (deg+1)-lists.
     fn greedy_inner(inst: &ListInstance, _x: &[u32]) -> Result<SolveBranch, SolveError> {
-        let lists: Vec<Vec<Color>> = inst.lists().iter().map(|l| l.as_slice().to_vec()).collect();
+        let lists: Vec<Vec<Color>> = inst.lists().iter().map(|l| l.to_vec()).collect();
         let coloring = deco_algos::greedy::greedy_list_edge_coloring(
             inst.graph(),
             &lists,

@@ -616,7 +616,13 @@ impl Solver {
         let lin = linial::color_from_initial(&net, initial, u64::from(x_palette).max(2), &self.rt)
             .expect("fixed schedule terminates");
         let palette = u32::try_from(lin.palette).expect("constant-degree palettes are small");
-        let lists: Vec<Vec<Color>> = inst.lists().iter().map(|l| l.as_slice().to_vec()).collect();
+        // Class elimination picks each edge's smallest color that no
+        // neighbour holds; at most deg(e) colors are held, so that color is
+        // always among the list's first deg(e)+1 and the rest never matter.
+        let lists: Vec<Vec<Color>> = g
+            .edges()
+            .map(|e| inst.list(e).iter().take(g.edge_degree(e) + 1).collect())
+            .collect();
         let (colors, elim_rounds) =
             class_elimination::list_color_by_classes(lg.graph(), &lists, &lin.colors, palette);
         let cost = CostNode::seq(

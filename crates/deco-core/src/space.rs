@@ -401,7 +401,7 @@ mod tests {
         inst: &ListInstance,
         _x: &[u32],
     ) -> Result<(Vec<Color>, CostNode), SolveError> {
-        let lists: Vec<Vec<Color>> = inst.lists().iter().map(|l| l.as_slice().to_vec()).collect();
+        let lists: Vec<Vec<Color>> = inst.lists().iter().map(|l| l.to_vec()).collect();
         let coloring =
             greedy::greedy_list_edge_coloring(inst.graph(), &lists, greedy::EdgeOrder::ById)
                 .expect("(deg+1)-list instances are greedily solvable");

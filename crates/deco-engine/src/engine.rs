@@ -11,12 +11,12 @@
 //!   O(1) per message, no per-round allocation, no adjacency scans.
 //! * **Phase parallelism.** Nodes are partitioned into contiguous ranges
 //!   balanced by degree; each phase runs the ranges concurrently over
-//!   disjoint `&mut` slices ([`fan_out`]), with the join as the barrier
+//!   disjoint `&mut` slices (`par::fan_out`), with the join as the barrier
 //!   between phases. The partition is a pure function of the graph and
 //!   thread count, so results are bit-identical for every thread count and
 //!   identical to [`deco_local::runner::run`].
 //! * **Serial below the threshold.** The thread count follows
-//!   [`thread_count`]: a network with fewer than
+//!   `par::thread_count`: a network with fewer than
 //!   [`MIN_PARALLEL_SLOTS`](crate::par::MIN_PARALLEL_SLOTS) ports gets one
 //!   thread whatever was requested, and one range is the serial schedule,
 //!   so such a network runs on [`deco_local::runner::run`] itself.
@@ -72,7 +72,7 @@ impl ParallelExecutor {
     }
 
     /// Uses at most `threads` worker threads. The count is a cap under
-    /// [`thread_count`]: work below
+    /// the engine's thread-count rule: work below
     /// [`MIN_PARALLEL_SLOTS`](crate::par::MIN_PARALLEL_SLOTS) runs on the
     /// calling thread, and in barrier mode 1 runs every network on the
     /// serial runner.
@@ -106,7 +106,7 @@ impl ParallelExecutor {
     }
 
     /// The requested worker thread count (0 = [`ParallelExecutor::auto`]'s
-    /// hardware default); the cap [`thread_count`] applies per execution.
+    /// hardware default); the thread-count rule caps it per execution.
     pub fn threads(&self) -> usize {
         self.threads
     }
@@ -212,11 +212,11 @@ impl Executor for ParallelExecutor {
     }
 
     /// Branch fan-out: branches are packed into contiguous weight-balanced
-    /// ranges ([`split_by_weight`]) and the ranges run through [`fan_out`],
+    /// ranges ([`split_by_weight`]) and the ranges run through `par::fan_out`,
     /// each returning its results in index order; concatenating them in
     /// range order makes the output independent of scheduling, so this is
     /// observationally identical to the serial default for every thread
-    /// count. The thread count follows [`thread_count`] with the summed
+    /// count. The thread count follows `par::thread_count` with the summed
     /// weights as the work: a batch lighter than
     /// [`MIN_PARALLEL_SLOTS`](crate::par::MIN_PARALLEL_SLOTS) runs inline.
     /// Branches may recurse into the executor (nested scopes are fine).

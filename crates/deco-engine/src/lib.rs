@@ -44,7 +44,7 @@
 //! Threading is built on `std::thread::scope` (the build environment has no
 //! crates.io access, so `rayon` is unavailable). The barrier engine's
 //! phases, its branch fan-out and the shard workers' phases all spawn
-//! through one helper, [`par::fan_out`], which is the swap-in point if that
+//! through one helper, `par::fan_out`, which is the swap-in point if that
 //! changes.
 
 #![forbid(unsafe_code)]

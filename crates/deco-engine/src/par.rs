@@ -2,7 +2,7 @@
 //!
 //! The engine's parallelism is intentionally simple: nodes are split into
 //! contiguous ranges balanced by degree sum, and each phase (send, receive)
-//! runs the ranges through [`fan_out`] — the first on the calling thread,
+//! runs the ranges through `fan_out` — the first on the calling thread,
 //! each other one on its own scoped thread — with mutable access only to
 //! that range's disjoint slices. Because the partition is a pure function
 //! of the graph and thread count, and because the phases are separated by
@@ -11,7 +11,7 @@
 //! parallelism never changes outputs, round counts, or message counts,
 //! only wall-clock time.
 //!
-//! How many threads a phase gets is one rule, [`thread_count`]: work below
+//! How many threads a phase gets is one rule, `thread_count`: work below
 //! [`MIN_PARALLEL_SLOTS`] runs on one thread whatever was requested, and a
 //! request above it is a cap, not a force.
 //!
@@ -42,6 +42,11 @@ use std::sync::{Condvar, Mutex};
 /// it, spawning and joining a phase's threads costs more than the phase's
 /// work, and the Theorem 4.1 recursion runs dozens of such small
 /// executions per solve. Outputs are identical on either side.
+///
+/// The value 4096 was inherited from the auto (hardware-parallelism) mode.
+/// It has not been measured as a crossover for explicit thread counts, nor
+/// for branch weights, where the unit is sub-instance edges and each branch
+/// is a whole recursive solve.
 pub const MIN_PARALLEL_SLOTS: usize = 4096;
 
 /// The phase-parallel engine's thread-count rule: the threads that a
@@ -49,7 +54,7 @@ pub const MIN_PARALLEL_SLOTS: usize = 4096;
 /// `work` units spread over `items` nodes or branches. Work below
 /// [`MIN_PARALLEL_SLOTS`] gets one thread; otherwise the request, capped at
 /// one thread per item. The result only changes wall time.
-pub fn thread_count(requested: usize, work: usize, items: usize) -> usize {
+pub(crate) fn thread_count(requested: usize, work: usize, items: usize) -> usize {
     if work < MIN_PARALLEL_SLOTS {
         return 1;
     }
@@ -65,7 +70,7 @@ pub fn thread_count(requested: usize, work: usize, items: usize) -> usize {
 /// thread, so `k` parts cost `k − 1` spawns; a single part runs inline
 /// without a scope. A panic in any part is re-raised on the caller with its
 /// original payload once every part has stopped.
-pub fn fan_out<I, R, F>(parts: impl IntoIterator<Item = I>, f: F) -> Vec<R>
+pub(crate) fn fan_out<I, R, F>(parts: impl IntoIterator<Item = I>, f: F) -> Vec<R>
 where
     I: Send,
     R: Send,

@@ -374,7 +374,7 @@ impl Executor for ShardedExecutor {
     /// Branch fan-out is round-free, so shard boundaries buy nothing
     /// there: branches fan out over at most `shards × threads_per_shard`
     /// threads through the phase-parallel engine, under its thread-count
-    /// rule ([`crate::par::thread_count`]), index-ordered like every
+    /// rule (`par::thread_count`), index-ordered like every
     /// executor.
     fn execute_branches<T, F>(&self, weights: &[usize], run: F) -> Vec<T>
     where

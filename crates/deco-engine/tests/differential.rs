@@ -9,9 +9,11 @@
 //! partitioning the network across shards with a cut exchange are pure
 //! implementation detail.
 
+use deco_engine::par::MIN_PARALLEL_SLOTS;
 use deco_engine::protocols::{FloodMax, PortEcho, StaggeredSum};
 use deco_engine::{
-    EngineMode, Executor, ParallelExecutor, ScenarioMatrix, SerialExecutor, ShardedExecutor,
+    EngineMode, Executor, GraphSpec, ParallelExecutor, ScenarioMatrix, SerialExecutor,
+    ShardedExecutor,
 };
 use deco_local::network::{IdAssignment, Network};
 use deco_local::runner::{NodeProgram, Protocol, RunError, RunOutcome};
@@ -172,7 +174,6 @@ fn round_limit_errors_across_matrix() {
 
 #[test]
 fn disconnected_graph_with_isolated_nodes() {
-    use deco_engine::GraphSpec;
     let g = GraphSpec::TwoClusters { n: 10, d: 3 }.build(5);
     for assignment in [
         IdAssignment::Sequential,
@@ -214,7 +215,7 @@ fn large_graph_crosses_parallel_threshold() {
     use deco_graph::generators;
     let g = generators::random_regular(4000, 16, 3);
     assert!(
-        g.degree_sum() >= deco_engine::par::MIN_PARALLEL_SLOTS,
+        g.degree_sum() >= MIN_PARALLEL_SLOTS,
         "must exercise the threaded path"
     );
     let net = Network::new(&g, IdAssignment::SparseRandom(8));
@@ -228,4 +229,54 @@ fn large_graph_crosses_parallel_threshold() {
         &StaggeredSum { spread: 7 },
         20,
     );
+}
+
+/// The scenario matrix and the Luby case above run on networks below
+/// [`MIN_PARALLEL_SLOTS`], where the barrier engine's t=2/t=4 legs take the
+/// serial runner. These repeat the zero-round, round-limit and Luby cases
+/// at or above it, so the threaded send/receive phases meet them too.
+#[test]
+fn edge_cases_above_parallel_threshold() {
+    use deco_algos::luby::LubyListColoring;
+    use deco_graph::generators;
+
+    let g = generators::random_regular(600, 8, 17);
+    assert!(
+        g.degree_sum() >= MIN_PARALLEL_SLOTS,
+        "must exercise the threaded path"
+    );
+    let net = Network::new(&g, IdAssignment::Shuffled(9));
+    differential("large/zero-round", &net, &FloodMax { radius: 0 }, 5);
+    differential("large/limit", &net, &FloodMax { radius: 1000 }, 4);
+    let lists: Vec<Vec<u32>> = g.nodes().map(|_| (0..16).collect()).collect();
+    let protocol = LubyListColoring { lists, seed: 21 };
+    differential("large/luby", &net, &protocol, 10_000);
+}
+
+/// Two large clusters plus isolated nodes, above the threshold: the
+/// threaded ranges hold degree-0 nodes next to degree-6 ones, and
+/// `StaggeredSum` halts nodes of one range at different rounds.
+#[test]
+fn large_disconnected_graph_with_isolated_nodes() {
+    let g = GraphSpec::TwoClusters { n: 400, d: 6 }.build(5);
+    assert!(
+        g.degree_sum() >= MIN_PARALLEL_SLOTS,
+        "must exercise the threaded path"
+    );
+    assert!(g.nodes().any(|v| g.degree(v) == 0), "has isolated nodes");
+    for assignment in [IdAssignment::Reversed, IdAssignment::SparseRandom(4)] {
+        let net = Network::new(&g, assignment);
+        differential(
+            "large-two-clusters/flood",
+            &net,
+            &FloodMax { radius: 6 },
+            50,
+        );
+        differential(
+            "large-two-clusters/staggered",
+            &net,
+            &StaggeredSum { spread: 4 },
+            20,
+        );
+    }
 }

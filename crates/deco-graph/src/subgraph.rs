@@ -5,7 +5,7 @@
 //! the edges assigned to one color subspace, …) and then need to translate
 //! results back to the original instance. [`EdgeSubgraph`] materializes the
 //! restriction as a fresh [`Graph`] over the *same node set* and keeps the
-//! edge-id mapping in both directions.
+//! map from subgraph edge ids back to parent edge ids.
 
 use crate::{EdgeId, Graph, GraphBuilder};
 
@@ -13,8 +13,8 @@ use crate::{EdgeId, Graph, GraphBuilder};
 ///
 /// Nodes are preserved 1:1 (same `NodeId` space as the parent); only edges
 /// are filtered, so node-indexed state can be shared between parent and
-/// subgraph. Edge ids are re-densified; use [`EdgeSubgraph::parent_edge`] /
-/// [`EdgeSubgraph::sub_edge`] to translate.
+/// subgraph. Edge ids are re-densified; [`EdgeSubgraph::parent_edge`] and
+/// [`EdgeSubgraph::edge_map`] translate them back.
 ///
 /// # Examples
 ///
@@ -33,7 +33,6 @@ use crate::{EdgeId, Graph, GraphBuilder};
 pub struct EdgeSubgraph {
     graph: Graph,
     to_parent: Vec<EdgeId>,
-    from_parent: Vec<Option<EdgeId>>,
 }
 
 impl EdgeSubgraph {
@@ -51,26 +50,21 @@ impl EdgeSubgraph {
     ///
     /// # Panics
     ///
-    /// Panics if `edges` contains duplicates or out-of-range ids.
+    /// Panics if `edges` contains duplicates (the builder's
+    /// [`BuildGraphError::DuplicateEdge`](crate::BuildGraphError::DuplicateEdge))
+    /// or out-of-range ids.
     pub fn from_edge_ids(parent: &Graph, edges: &[EdgeId]) -> EdgeSubgraph {
-        let mut builder = GraphBuilder::new(parent.num_nodes());
-        let mut from_parent = vec![None; parent.num_edges()];
-        for (sub_idx, &pe) in edges.iter().enumerate() {
+        let mut builder = GraphBuilder::with_capacity(parent.num_nodes(), edges.len());
+        for &pe in edges {
             let [u, v] = parent.endpoints(pe);
             builder.add_edge(u, v);
-            assert!(
-                from_parent[pe.index()].is_none(),
-                "duplicate edge {pe} in subgraph edge list"
-            );
-            from_parent[pe.index()] = Some(EdgeId::from(sub_idx));
         }
         let graph = builder
             .build()
-            .expect("edges taken from a valid parent graph are valid");
+            .expect("subgraph edges must be distinct edges of the parent");
         EdgeSubgraph {
             graph,
             to_parent: edges.to_vec(),
-            from_parent,
         }
     }
 
@@ -90,37 +84,10 @@ impl EdgeSubgraph {
         self.to_parent[e.index()]
     }
 
-    /// Translates a parent edge id into this subgraph, if the edge was kept.
-    #[inline]
-    pub fn sub_edge(&self, parent_edge: EdgeId) -> Option<EdgeId> {
-        self.from_parent[parent_edge.index()]
-    }
-
     /// The full sub→parent edge mapping, indexed by subgraph edge id.
     #[inline]
     pub fn edge_map(&self) -> &[EdgeId] {
         &self.to_parent
-    }
-
-    /// Copies subgraph-edge-indexed values into a parent-edge-indexed buffer.
-    ///
-    /// For each subgraph edge `e` with value `values[e]`, writes the value to
-    /// `out[parent_edge(e)]`. Entries of `out` for edges outside the subgraph
-    /// are left untouched.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `values` or `out` have the wrong length.
-    pub fn scatter_to_parent<T: Clone>(&self, values: &[T], out: &mut [Option<T>]) {
-        assert_eq!(
-            values.len(),
-            self.graph.num_edges(),
-            "values length mismatch"
-        );
-        assert_eq!(out.len(), self.from_parent.len(), "out length mismatch");
-        for (idx, pe) in self.to_parent.iter().enumerate() {
-            out[pe.index()] = Some(values[idx].clone());
-        }
     }
 }
 
@@ -157,8 +124,7 @@ mod tests {
         assert_eq!(sub.graph().num_edges(), 2);
         assert_eq!(sub.parent_edge(EdgeId(0)), EdgeId(0));
         assert_eq!(sub.parent_edge(EdgeId(1)), EdgeId(2));
-        assert_eq!(sub.sub_edge(EdgeId(2)), Some(EdgeId(1)));
-        assert_eq!(sub.sub_edge(EdgeId(1)), None);
+        assert_eq!(sub.edge_map(), [EdgeId(0), EdgeId(2)]);
     }
 
     #[test]
@@ -167,16 +133,6 @@ mod tests {
         let sub = EdgeSubgraph::new(&g, |_| false);
         assert_eq!(sub.graph().num_nodes(), 5);
         assert_eq!(sub.graph().num_edges(), 0);
-    }
-
-    #[test]
-    fn scatter_to_parent_translates_values() {
-        let g = path5();
-        let sub = EdgeSubgraph::new(&g, |e| e.index() >= 2);
-        let vals = vec![10u32, 20u32];
-        let mut out: Vec<Option<u32>> = vec![None; g.num_edges()];
-        sub.scatter_to_parent(&vals, &mut out);
-        assert_eq!(out, vec![None, None, Some(10), Some(20)]);
     }
 
     #[test]
@@ -207,7 +163,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "duplicate edge")]
+    #[should_panic(expected = "DuplicateEdge")]
     fn rejects_duplicate_edge_ids() {
         let g = path5();
         let _ = EdgeSubgraph::from_edge_ids(&g, &[EdgeId(0), EdgeId(0)]);

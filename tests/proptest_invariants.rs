@@ -156,7 +156,7 @@ fn greedy_list_coloring_never_fails_on_deg_plus_one() {
         }
         let seed = rng.gen_range(0..u64::MAX);
         let inst = instance::random_deg_plus_one(&g, g.max_edge_degree() as u32 + 2, seed);
-        let lists: Vec<Vec<u32>> = inst.lists().iter().map(|l| l.as_slice().to_vec()).collect();
+        let lists: Vec<Vec<u32>> = inst.lists().iter().map(|l| l.to_vec()).collect();
         let res = deco::algos::greedy::greedy_list_edge_coloring(
             &g,
             &lists,
@@ -187,5 +187,139 @@ fn edge_coloring_validators_agree_with_defects() {
             defects.iter().all(|&d| d == 0),
             "validators disagree for case seed {case_seed}"
         );
+    });
+}
+
+/// A color near a 64-bit word edge of the list storage (or the palette's
+/// last color), sometimes nudged by one, else uniform in `0..bound`.
+fn arb_color(rng: &mut StdRng, palette: u32, bound: u32) -> u32 {
+    const WORD_EDGES: [u32; 6] = [0, 63, 64, 65, 127, 128];
+    let c = if rng.gen_bool(0.6) {
+        let pick = rng.gen_range(0..=WORD_EDGES.len());
+        let base = WORD_EDGES.get(pick).copied().unwrap_or(palette - 1);
+        match rng.gen_range(0..3u32) {
+            0 => base.saturating_sub(1),
+            1 => base,
+            _ => base + 1,
+        }
+    } else {
+        rng.gen_range(0..bound)
+    };
+    c.min(bound - 1)
+}
+
+#[test]
+fn color_list_matches_a_sorted_vec_model() {
+    // Equality compares colors, not storage: two words with the second
+    // emptied equal one word.
+    let mut wide = ColorList::range(0, 70);
+    wide.remove_all(&(64..70).collect::<Vec<u32>>());
+    assert_eq!(wide, ColorList::range(0, 64));
+
+    for_cases(0xDEC0_0007, |case_seed, rng| {
+        let palette = rng.gen_range(1..300u32);
+        let probe_bound = palette + 70;
+        let mut list = ColorList::default();
+        let mut model: Vec<u32> = Vec::new();
+        for step in 0..40 {
+            let ctx = format!("case seed {case_seed}, step {step}");
+            match rng.gen_range(0..6u32) {
+                0 => {
+                    let colors: Vec<u32> = (0..rng.gen_range(0..40usize))
+                        .map(|_| arb_color(rng, palette, palette))
+                        .collect();
+                    list = ColorList::new(colors.clone());
+                    model = colors;
+                }
+                1 => {
+                    let lo = arb_color(rng, palette, palette + 1);
+                    let hi = arb_color(rng, palette, palette + 1);
+                    list = ColorList::range(lo, hi);
+                    model = (lo..hi).collect();
+                }
+                2 => {
+                    let c = arb_color(rng, palette, probe_bound);
+                    let had = model.contains(&c);
+                    model.retain(|&x| x != c);
+                    assert_eq!(list.remove(c), had, "remove({c}) at {ctx}");
+                }
+                3 => {
+                    let forbidden: Vec<u32> = (0..rng.gen_range(0..12usize))
+                        .map(|_| arb_color(rng, palette, probe_bound))
+                        .collect();
+                    list.remove_all(&forbidden);
+                    model.retain(|c| !forbidden.contains(c));
+                }
+                4 => {
+                    let lo = arb_color(rng, palette, probe_bound);
+                    let hi = arb_color(rng, palette, probe_bound);
+                    list = list.restrict_to_range(lo, hi);
+                    model.retain(|&c| lo <= c && c < hi);
+                }
+                _ => {
+                    let colors: Vec<u32> = (0..rng.gen_range(0..20usize))
+                        .map(|_| arb_color(rng, palette, palette))
+                        .collect();
+                    list = colors.iter().copied().collect();
+                    model = colors;
+                }
+            }
+            model.sort_unstable();
+            model.dedup();
+
+            assert_eq!(list.len(), model.len(), "len at {ctx}");
+            assert_eq!(list.is_empty(), model.is_empty(), "is_empty at {ctx}");
+            assert_eq!(list.to_vec(), model, "iter at {ctx}");
+            let n = model.len();
+            assert_eq!(list.iter().size_hint(), (n, Some(n)), "size_hint at {ctx}");
+            assert_eq!(list.first(), model.first().copied(), "first at {ctx}");
+            for c in 0..probe_bound {
+                assert_eq!(
+                    list.contains(c),
+                    model.contains(&c),
+                    "contains({c}) at {ctx}"
+                );
+            }
+            let from = arb_color(rng, palette, probe_bound);
+            assert_eq!(
+                list.first_from(from),
+                model.iter().copied().find(|&c| c >= from),
+                "first_from({from}) at {ctx}"
+            );
+            let lo = arb_color(rng, palette, probe_bound);
+            let hi = arb_color(rng, palette, probe_bound);
+            let inside: Vec<u32> = model
+                .iter()
+                .copied()
+                .filter(|&c| lo <= c && c < hi)
+                .collect();
+            assert_eq!(
+                list.count_in_range(lo, hi),
+                inside.len(),
+                "count_in_range({lo}, {hi}) at {ctx}"
+            );
+            assert_eq!(
+                list.restrict_to_range(lo, hi).to_vec(),
+                inside,
+                "restrict_to_range({lo}, {hi}) at {ctx}"
+            );
+            let shown: Vec<String> = model.iter().map(u32::to_string).collect();
+            assert_eq!(
+                list.to_string(),
+                format!("{{{}}}", shown.join(",")),
+                "Display at {ctx}"
+            );
+            // A freshly built list has the fewest words; equality ignores
+            // that, but not a color added past this list's last word.
+            assert_eq!(list, ColorList::new(model.clone()), "eq at {ctx}");
+            let extra = arb_color(rng, palette, probe_bound);
+            let mut other = model.clone();
+            other.push(extra);
+            assert_eq!(
+                list == ColorList::new(other),
+                model.contains(&extra),
+                "eq after adding {extra} at {ctx}"
+            );
+        }
     });
 }
