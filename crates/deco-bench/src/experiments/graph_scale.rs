@@ -1,9 +1,8 @@
 //! `graph-scale` — the million-edge substrate end to end: bulk CSR build
-//! vs per-edge insertion, binary snapshot load vs text parse, the
-//! engine lineup's wall clock on a Kronecker graph, mailbox bytes per
-//! edge per round for every engine (dense arenas vs the old
-//! `Option`-slot layout), the solver pipeline at scale, and the
-//! process's peak RSS.
+//! vs per-edge insertion, binary snapshot load vs text parse, the serial
+//! and barrier engines' wall clock on a Kronecker graph, mailbox bytes
+//! per edge per round for both (dense arenas vs the old `Option`-slot
+//! layout), the solver pipeline at scale, and the process's peak RSS.
 //!
 //! Size is controlled by `DECO_SCALE_EDGES` (target distinct edge count,
 //! default 100 000; CI's scale-smoke leg pins it, the acceptance run
@@ -14,12 +13,9 @@
 
 use crate::records::append_trend_records;
 use crate::table::Table;
-use deco_engine::mailbox::{MailboxPlan, RingBuffer};
+use deco_engine::mailbox::MailboxPlan;
 use deco_engine::protocols::FloodMax;
-use deco_engine::{
-    Executor, GraphSpec, IdFlavor, ParallelExecutor, Scenario, SerialExecutor, ShardPlan,
-    ShardedExecutor,
-};
+use deco_engine::{Executor, GraphSpec, IdFlavor, ParallelExecutor, Scenario, SerialExecutor};
 use deco_graph::{generators, io, Builder, GraphBuilder, NodeId};
 use deco_local::PortArena;
 use deco_runtime::Runtime;
@@ -148,7 +144,7 @@ pub fn run(rt: &Runtime) -> String {
         t_txt_r.as_secs_f64() / t_snap_r.as_secs_f64(),
     );
 
-    // Part 3: the engine lineup on the Kronecker graph, with the mailbox
+    // Part 3: both engines on the Kronecker graph, with the mailbox
     // arenas' exact heap bytes per edge per round next to the wall clock.
     // The old `Option`-slot layouts are computed from the same geometry for
     // the diet comparison.
@@ -167,12 +163,9 @@ pub fn run(rt: &Runtime) -> String {
     let proto = FloodMax { radius: 2 };
     let (t_serial, serial) = time(|| SerialExecutor.execute(&net, &proto, 50).unwrap());
     let (t_engine, engine) = time(|| ParallelExecutor::auto().execute(&net, &proto, 50).unwrap());
-    let (t_shard, shard) = time(|| ShardedExecutor::new(2).execute(&net, &proto, 50).unwrap());
-    for (label, run) in [("engine-auto", &engine), ("sharded(2)", &shard)] {
-        assert_eq!(serial.outputs, run.outputs, "{label}");
-        assert_eq!(serial.rounds, run.rounds, "{label}");
-        assert_eq!(serial.messages, run.messages, "{label}");
-    }
+    assert_eq!(serial.outputs, engine.outputs, "engine-auto");
+    assert_eq!(serial.rounds, engine.rounds, "engine-auto");
+    assert_eq!(serial.messages, engine.messages, "engine-auto");
 
     let plan = MailboxPlan::new(&gk);
     let slots = plan.num_slots();
@@ -181,13 +174,6 @@ pub fn run(rt: &Runtime) -> String {
     let serial_bytes = PortArena::<Msg>::new(slots).heap_bytes();
     // The barrier engine keeps one arena of the same geometry.
     let engine_bytes = serial_bytes;
-    let async_bytes = RingBuffer::<Msg>::new(slots).heap_bytes();
-    let splan = ShardPlan::new(&gk, 2);
-    let cut_slots: usize = (0..splan.shards()).map(|s| splan.cut_ports(s).len()).sum();
-    // Per-shard arena slices cover all `slots`; each shard additionally
-    // keeps two cut-out parities in the exchange ring.
-    let shard_bytes = PortArena::<Msg>::new(slots).heap_bytes()
-        + 2 * PortArena::<Msg>::new(cut_slots).heap_bytes();
     let mut t = Table::new([
         "engine",
         "time",
@@ -200,27 +186,13 @@ pub fn run(rt: &Runtime) -> String {
     ]);
     let old_serial = slots * opt;
     let old_engine = old_serial;
-    let old_async = slots * std::mem::size_of::<std::sync::Mutex<[Option<Msg>; 2]>>();
-    let old_shard = (slots + 2 * cut_slots) * opt;
     for (label, dur, run, bytes, old) in [
         ("serial", t_serial, &serial, serial_bytes, old_serial),
         ("engine-auto", t_engine, &engine, engine_bytes, old_engine),
-        (
-            "async (geometry)",
-            t_serial,
-            &serial,
-            async_bytes,
-            old_async,
-        ),
-        ("sharded(2)", t_shard, &shard, shard_bytes, old_shard),
     ] {
         t.row([
             label.to_string(),
-            if label.starts_with("async") {
-                "-".into()
-            } else {
-                format!("{dur:.1?}")
-            },
+            format!("{dur:.1?}"),
             run.rounds.to_string(),
             run.messages.to_string(),
             bytes.to_string(),
@@ -235,8 +207,7 @@ pub fn run(rt: &Runtime) -> String {
         "\nArenas are allocated once and reused every round, so B/edge/round is \
          heap bytes over m={mk} edges: payload `size_of::<Msg>()`={sz} per port \
          plus one presence bit, vs `size_of::<Option<Msg>>()`={opt} per slot \
-         before the diet. The async row is ring geometry only (its lookahead \
-         cells exist per port regardless of wall clock shown elsewhere).\n",
+         before the diet.\n",
     );
 
     // Part 4: the solver pipeline at scale on the ambient engine.
@@ -287,14 +258,6 @@ pub fn run(rt: &Runtime) -> String {
         (
             "graph-scale/bytes-per-edge-round/engine",
             (engine_bytes / mk) as u64,
-        ),
-        (
-            "graph-scale/bytes-per-edge-round/async",
-            (async_bytes / mk) as u64,
-        ),
-        (
-            "graph-scale/bytes-per-edge-round/sharded",
-            (shard_bytes / mk) as u64,
         ),
     ]);
 

@@ -1,7 +1,8 @@
 //! Experiment implementations — one module per artifact of the paper
 //! (figure or quantitative claim). Each exposes
 //! `run(rt: &Runtime) -> String`, returning the report the `experiments`
-//! binary prints; EXPERIMENTS.md embeds those reports.
+//! binary prints (`experiments <id>`; the README's experiments table lists
+//! the ids).
 //!
 //! The [`Runtime`] is the *ambient* engine — the one the harness was
 //! launched with (`Runtime::from_env()` in the binary) — and single-engine
@@ -12,9 +13,7 @@
 
 pub mod churn;
 pub mod defcol;
-pub mod engine_async;
 pub mod engine_matrix;
-pub mod engine_shard;
 pub mod fig_partition;
 pub mod fig_slack_walkthrough;
 pub mod fig_virtual;
@@ -52,8 +51,6 @@ pub fn all() -> Vec<(&'static str, Runner)> {
         ("linial", linial_exp::run),
         ("related-work", related_work::run),
         ("engine-matrix", engine_matrix::run),
-        ("engine-async", engine_async::run),
-        ("engine-shard", engine_shard::run),
         ("graph-scale", graph_scale::run),
         ("churn", churn::run),
         ("serve-load", serve_load::run),

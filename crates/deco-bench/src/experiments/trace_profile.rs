@@ -1,13 +1,13 @@
 //! `trace-profile` — where each engine's wall time goes, per phase: the
-//! same pipeline run on all four engines (serial, barrier, async, sharded)
-//! under the trace layer, rendered as one cross-engine per-phase wall-time
-//! matrix and one counter matrix from `deco-trace::summary`. Colors,
-//! rounds, and messages are re-asserted identical across the lineup inline,
-//! so the profile can never drift from a correctness bug silently.
+//! same pipeline run on both engines (serial, barrier) under the trace
+//! layer, rendered as one cross-engine per-phase wall-time matrix and one
+//! counter matrix from `deco-trace::summary`. Colors, rounds, and messages
+//! are re-asserted identical across the lineup inline, so the profile can
+//! never drift from a correctness bug silently.
 
 use crate::workloads::ids_for;
 use deco_core::solver::{solve_two_delta_minus_one, RunReport, SolverConfig};
-use deco_engine::{EngineMode, GraphSpec, IdFlavor, ParallelExecutor, Scenario, ShardedExecutor};
+use deco_engine::{GraphSpec, IdFlavor, ParallelExecutor, Scenario};
 use deco_runtime::Runtime;
 use deco_trace::{summary, Counter, Phase};
 use std::fmt::Write as _;
@@ -20,18 +20,13 @@ fn lineup() -> Vec<(&'static str, Runtime)> {
             "barrier(t=2)",
             Runtime::from(ParallelExecutor::with_threads(2)),
         ),
-        (
-            "async(t=2)",
-            Runtime::from(ParallelExecutor::with_threads(2).with_mode(EngineMode::Async)),
-        ),
-        ("sharded(s=2)", Runtime::from(ShardedExecutor::new(2))),
     ]
 }
 
 /// Runs the experiment and returns the report.
 pub fn run(_rt: &Runtime) -> String {
     let mut out = String::from(
-        "# trace-profile — per-phase wall-time breakdown across all four engines\n\n\
+        "# trace-profile — per-phase wall-time breakdown across both engines\n\n\
          One pipeline (Linial + the Theorem 4.1 solver, regular(96,8)) per engine,\n\
          traced end to end; every span, counter, and sample below comes from the\n\
          shared deco-trace layer — no engine carries bespoke stat plumbing.\n\n",
@@ -81,11 +76,10 @@ pub fn run(_rt: &Runtime) -> String {
     out.push_str(&summary::phase_matrix(&runs));
     out.push_str(
         "\nPhases nest (`pipeline` contains everything; `round` contains `send`,\n\
-         `deliver`, `receive`; async and sharded runs attribute whole executions\n\
-         to `execute` instead of global rounds) — compare within a level. `—`\n\
-         marks phases an engine never enters. `deliver` is the serial runner's\n\
-         own phase; the barrier engine shows it too because it hands networks\n\
-         below its threading threshold to that runner.\n\n",
+         `deliver`, `receive`) — compare within a level. `—` marks phases an\n\
+         engine never enters. `deliver` is the serial runner's own phase; the\n\
+         barrier engine shows it too because it hands networks below its\n\
+         threading threshold to that runner.\n\n",
     );
 
     out.push_str("## counters and samples\n\n");
@@ -93,7 +87,7 @@ pub fn run(_rt: &Runtime) -> String {
     let base = baseline.expect("lineup is non-empty");
     let _ = writeln!(
         out,
-        "\nAll four engines agree on colors, rounds ({}), and messages ({}) — the\n\
+        "\nBoth engines agree on colors, rounds ({}), and messages ({}) — the\n\
          profile varies, the observables don't. Wall times are this host's only;\n\
          the structure (which phases dominate) is the portable signal.",
         base.rounds, base.messages
@@ -106,10 +100,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn profile_covers_all_four_engines() {
+    fn profile_covers_both_engines() {
         let r = run(&Runtime::serial());
         assert!(r.contains("per-phase wall time"), "{r}");
-        for engine in ["serial", "barrier(t=2)", "async(t=2)", "sharded(s=2)"] {
+        for engine in ["serial", "barrier(t=2)"] {
             assert!(r.contains(engine), "missing {engine}:\n{r}");
         }
         assert!(r.contains("pipeline"), "{r}");

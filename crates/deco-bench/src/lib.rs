@@ -1,10 +1,10 @@
 //! # deco-bench — experiment harness and benchmarks
 //!
-//! Regenerates every figure and quantitative claim of the paper (the
-//! experiment index lives in `DESIGN.md` §4). Run
-//! `cargo run -p deco-bench --release --bin experiments -- all` to produce
-//! the reports embedded in `EXPERIMENTS.md`, or pass an experiment id
-//! (`fig5`, `thm41-budget`, …) for a single one.
+//! Regenerates every figure and quantitative claim of the paper. Run
+//! `cargo run -p deco-bench --release --bin experiments -- all` to print
+//! every report, or pass an experiment id (`fig5`, `thm41-budget`, …) for
+//! a single one; with no argument the binary lists the ids, and the
+//! README's experiments table says what each report shows.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

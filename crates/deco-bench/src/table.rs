@@ -1,5 +1,6 @@
 //! Minimal aligned-table formatter for experiment output (markdown-pipe
-//! style, so tables paste directly into EXPERIMENTS.md).
+//! style, so the `experiments` binary's tables paste directly into
+//! markdown).
 
 /// An in-memory table with a header row.
 #[derive(Debug, Clone, Default)]

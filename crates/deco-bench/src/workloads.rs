@@ -99,35 +99,6 @@ pub fn degree_sweep(degrees: &[usize], edges_target: usize, seed: u64) -> Vec<Wo
         .collect()
 }
 
-/// A component-skewed workload for the barrier-free engine: one dominant
-/// random-regular component holding roughly half the nodes, a geometric
-/// tail of ever-smaller cycles, and a sprinkling of isolated nodes. Under
-/// a global barrier every small component idles through the dominant
-/// component's rounds; barrier-free, each finishes on its own clock —
-/// this is the workload where rounds-in-flight and barrier-wait-eliminated
-/// are most visible.
-pub fn skewed_components(n: usize, seed: u64) -> Workload {
-    let n = n.max(16);
-    let big = n / 2;
-    let d = 6.min(big - 1);
-    let mut parts = vec![generators::random_regular(
-        big - (big * d) % 2, // keep n*d even for the regular generator
-        d,
-        seed,
-    )];
-    // Geometric tail: n/4, n/8, … down to tiny cycles.
-    let mut size = n / 4;
-    while size >= 3 {
-        parts.push(generators::cycle(size));
-        size /= 2;
-    }
-    parts.push(deco_graph::Graph::empty(5));
-    Workload::new(
-        format!("skewed-components(n={n})"),
-        generators::disjoint_union(&parts),
-    )
-}
-
 /// Cycle graphs of increasing size — the `log* n` flatness suite.
 pub fn cycle_sweep(sizes: &[usize]) -> Vec<Workload> {
     sizes
@@ -160,20 +131,6 @@ mod tests {
                 "edge count {m} off target for d={d}"
             );
         }
-    }
-
-    #[test]
-    fn skewed_components_mixes_scales() {
-        let w = skewed_components(200, 3);
-        let g = &w.graph;
-        let (_, components) = deco_graph::traversal::connected_components(g);
-        // Dominant component + geometric cycle tail + 5 isolated nodes.
-        assert!(components >= 8, "got {components} components");
-        let isolated = g.nodes().filter(|&v| g.degree(v) == 0).count();
-        assert_eq!(isolated, 5);
-        assert!(g.max_degree() >= 6, "dominant component is dense-ish");
-        // Deterministic in the seed.
-        assert_eq!(g.edge_list(), skewed_components(200, 3).graph.edge_list());
     }
 
     #[test]

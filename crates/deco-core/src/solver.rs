@@ -717,8 +717,7 @@ pub struct RunReport {
     /// Counters of the solver recursion.
     pub solve_stats: SolveStats,
     /// Stable descriptor of the engine that executed the run
-    /// ([`Runtime::descriptor`], e.g. `serial` or
-    /// `sharded(shards=4,threads=2)`).
+    /// ([`Runtime::descriptor`], e.g. `serial` or `barrier(threads=2)`).
     pub engine_descriptor: String,
     /// Wall-clock duration of the whole pipeline on this engine. The only
     /// field that legitimately varies between runs.

@@ -7,9 +7,7 @@
 //!
 //! | variable | values | meaning |
 //! |---|---|---|
-//! | `DECO_ENGINE_THREADS` | unset/empty/`0` = auto, else a thread count | worker threads (threads *per shard* when sharding) |
-//! | `DECO_ENGINE_ASYNC` | unset/empty/`0` = barrier, `1` = async | round substrate of the parallel engine |
-//! | `DECO_ENGINE_SHARDS` | unset/empty/`0` = unsharded, else a shard count | partition the network over that many shards |
+//! | `DECO_ENGINE_THREADS` | unset/empty/`0` = auto, else a thread count | worker threads of the barrier engine |
 //! | `DECO_TRACE` | unset/empty/`0`/`off`, `ring`, `jsonl` | trace sink ([`deco_trace`]); `jsonl` writes to `DECO_TRACE_PATH` (default `trace.jsonl`) |
 //!
 //! Malformed values are **structured errors**, never silent fallbacks and
@@ -19,23 +17,17 @@
 //! an [`EngineEnvError`] they can report or escalate themselves).
 //!
 //! ```
-//! use deco_engine::config::parse_shards;
+//! use deco_engine::config::parse_threads;
 //!
 //! // Pure parsers back every variable; malformed input is a value.
-//! assert_eq!(parse_shards("4").unwrap(), 4);
-//! let err = parse_shards("many").unwrap_err();
-//! assert_eq!(err.var, "DECO_ENGINE_SHARDS");
+//! assert_eq!(parse_threads("4").unwrap(), 4);
+//! let err = parse_threads("many").unwrap_err();
+//! assert_eq!(err.var, "DECO_ENGINE_THREADS");
 //! assert_eq!(err.value, "many");
 //! ```
 
-use crate::engine::EngineMode;
-
 /// `DECO_ENGINE_THREADS` — worker thread count (0 = auto).
 pub const ENV_THREADS: &str = "DECO_ENGINE_THREADS";
-/// `DECO_ENGINE_ASYNC` — round substrate of the parallel engine.
-pub const ENV_ASYNC: &str = "DECO_ENGINE_ASYNC";
-/// `DECO_ENGINE_SHARDS` — shard count (0 = unsharded).
-pub const ENV_SHARDS: &str = "DECO_ENGINE_SHARDS";
 /// `DECO_TRACE` — trace sink selection (`off` / `ring` / `jsonl`).
 pub const ENV_TRACE: &str = "DECO_TRACE";
 /// `DECO_TRACE_PATH` — JSONL output path (consumed by `deco-trace` at
@@ -85,42 +77,6 @@ pub fn parse_threads(raw: &str) -> Result<usize, EngineEnvError> {
     })
 }
 
-/// Parses a `DECO_ENGINE_ASYNC` value: empty or `0` = barrier, `1` =
-/// async.
-///
-/// # Errors
-///
-/// [`EngineEnvError`] on anything else.
-pub fn parse_mode(raw: &str) -> Result<EngineMode, EngineEnvError> {
-    match raw.trim() {
-        "" | "0" => Ok(EngineMode::Barrier),
-        "1" => Ok(EngineMode::Async),
-        other => Err(EngineEnvError {
-            var: ENV_ASYNC,
-            value: other.to_string(),
-            expected: "0 or 1",
-        }),
-    }
-}
-
-/// Parses a `DECO_ENGINE_SHARDS` value: empty or `0` = unsharded
-/// (returned as 0), else the shard count.
-///
-/// # Errors
-///
-/// [`EngineEnvError`] when the value is not a number.
-pub fn parse_shards(raw: &str) -> Result<usize, EngineEnvError> {
-    let raw = raw.trim();
-    if raw.is_empty() {
-        return Ok(0);
-    }
-    raw.parse().map_err(|_| EngineEnvError {
-        var: ENV_SHARDS,
-        value: raw.to_string(),
-        expected: "a shard count (0 or empty = unsharded)",
-    })
-}
-
 /// Parses a `DECO_TRACE` value: empty, `0`, or `off` = tracing disabled,
 /// `ring` = in-memory ring sink, `jsonl` = JSONL file sink.
 ///
@@ -149,27 +105,6 @@ mod tests {
         assert_eq!(parse_threads("").unwrap(), 0);
         assert_eq!(parse_threads(" 0 ").unwrap(), 0);
         assert_eq!(parse_threads("8").unwrap(), 8);
-    }
-
-    #[test]
-    fn mode_parsing_is_strict() {
-        assert_eq!(parse_mode("").unwrap(), EngineMode::Barrier);
-        assert_eq!(parse_mode("0").unwrap(), EngineMode::Barrier);
-        assert_eq!(parse_mode(" 1\n").unwrap(), EngineMode::Async);
-        let err = parse_mode("yes").unwrap_err();
-        assert_eq!(err.var, ENV_ASYNC);
-        assert_eq!(err.value, "yes");
-        assert!(err.to_string().contains("DECO_ENGINE_ASYNC"));
-        assert!(err.to_string().contains("\"yes\""));
-    }
-
-    #[test]
-    fn shard_parsing_reports_the_offending_value() {
-        assert_eq!(parse_shards("").unwrap(), 0);
-        assert_eq!(parse_shards("4").unwrap(), 4);
-        let err = parse_shards("-2").unwrap_err();
-        assert_eq!(err.var, ENV_SHARDS);
-        assert_eq!(err.value, "-2");
     }
 
     #[test]

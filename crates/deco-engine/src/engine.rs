@@ -33,25 +33,10 @@ use deco_local::runner::{NodeProgram, Protocol, RunError, RunOutcome};
 use deco_local::Executor;
 use std::ops::Range;
 
-/// Which round-execution substrate a [`ParallelExecutor`] dispatches to.
-/// Both modes are observationally identical to the serial runner; they
-/// differ only in how rounds are scheduled.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EngineMode {
-    /// Phase-parallel: global send/receive phases with a scope-join barrier
-    /// between them (this file).
-    #[default]
-    Barrier,
-    /// Barrier-free: component-local round clocks with a work-stealing
-    /// ready queue ([`crate::async_engine::AsyncExecutor`]).
-    Async,
-}
-
 /// Multi-threaded, flat-mailbox implementation of [`Executor`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ParallelExecutor {
     threads: usize,
-    mode: EngineMode,
 }
 
 impl Default for ParallelExecutor {
@@ -65,17 +50,13 @@ impl ParallelExecutor {
     /// [`MIN_PARALLEL_SLOTS`](crate::par::MIN_PARALLEL_SLOTS), and the
     /// calling thread below it.
     pub fn auto() -> ParallelExecutor {
-        ParallelExecutor {
-            threads: 0,
-            mode: EngineMode::Barrier,
-        }
+        ParallelExecutor { threads: 0 }
     }
 
     /// Uses at most `threads` worker threads. The count is a cap under
     /// the engine's thread-count rule: work below
     /// [`MIN_PARALLEL_SLOTS`](crate::par::MIN_PARALLEL_SLOTS) runs on the
-    /// calling thread, and in barrier mode 1 runs every network on the
-    /// serial runner.
+    /// calling thread, and 1 runs every network on the serial runner.
     ///
     /// # Panics
     ///
@@ -85,40 +66,13 @@ impl ParallelExecutor {
             threads > 0,
             "thread count must be positive; use auto() for hardware default"
         );
-        ParallelExecutor {
-            threads,
-            mode: EngineMode::Barrier,
-        }
-    }
-
-    /// This executor with its round substrate switched to `mode`; the
-    /// thread request is unchanged. `Async` dispatches every
-    /// [`Executor::execute`] to the barrier-free
-    /// [`AsyncExecutor`](crate::async_engine::AsyncExecutor) — same
-    /// observable behavior, component-local scheduling.
-    pub fn with_mode(self, mode: EngineMode) -> ParallelExecutor {
-        ParallelExecutor { mode, ..self }
-    }
-
-    /// The round substrate this executor dispatches to.
-    pub fn mode(&self) -> EngineMode {
-        self.mode
+        ParallelExecutor { threads }
     }
 
     /// The requested worker thread count (0 = [`ParallelExecutor::auto`]'s
     /// hardware default); the thread-count rule caps it per execution.
     pub fn threads(&self) -> usize {
         self.threads
-    }
-
-    /// The barrier-free executor carrying this executor's thread request,
-    /// used by the [`EngineMode::Async`] dispatch.
-    fn async_twin(&self) -> crate::async_engine::AsyncExecutor {
-        if self.threads == 0 {
-            crate::async_engine::AsyncExecutor::auto()
-        } else {
-            crate::async_engine::AsyncExecutor::with_threads(self.threads)
-        }
     }
 }
 
@@ -135,9 +89,6 @@ impl Executor for ParallelExecutor {
         <P::Program as NodeProgram>::Msg: Send + Sync,
         <P::Program as NodeProgram>::Output: Send,
     {
-        if self.mode == EngineMode::Async {
-            return self.async_twin().execute(net, protocol, max_rounds);
-        }
         let g = net.graph();
         let n = g.num_nodes();
         let ranges = match thread_count(self.threads, g.degree_sum(), n) {
@@ -472,40 +423,5 @@ mod tests {
         let empty: Vec<u32> = exec.execute_branches(&[], |_| unreachable!());
         assert!(empty.is_empty());
         assert_eq!(exec.execute_branches(&[5], |i| i + 1), vec![1]);
-    }
-
-    #[test]
-    fn async_mode_dispatches_to_the_barrier_free_engine() {
-        let g = generators::cycle(30);
-        let net = Network::new(&g, IdAssignment::Shuffled(8));
-        let barrier = ParallelExecutor::with_threads(2)
-            .execute(&net, &FloodMax { radius: 5 }, 50)
-            .unwrap();
-        let asynch = ParallelExecutor::with_threads(2)
-            .with_mode(EngineMode::Async)
-            .execute(&net, &FloodMax { radius: 5 }, 50)
-            .unwrap();
-        assert_identical(&barrier, &asynch);
-        assert_eq!(
-            ParallelExecutor::auto().with_mode(EngineMode::Async).mode(),
-            EngineMode::Async
-        );
-    }
-
-    #[test]
-    fn mode_knob_parses_like_the_thread_knob() {
-        // The parsers are pure (std::env is process-global, so the test
-        // drives them directly rather than mutating the environment under
-        // concurrently running tests). Whitespace and the two canonical
-        // values are accepted; anything else is a structured error naming
-        // the variable — it must never silently un-pin the CI matrix.
-        use crate::config::parse_mode;
-        assert_eq!(parse_mode("").unwrap(), EngineMode::Barrier);
-        assert_eq!(parse_mode("0").unwrap(), EngineMode::Barrier);
-        assert_eq!(parse_mode(" 0 ").unwrap(), EngineMode::Barrier);
-        assert_eq!(parse_mode("1").unwrap(), EngineMode::Async);
-        assert_eq!(parse_mode("1\n").unwrap(), EngineMode::Async);
-        let err = parse_mode("yes").unwrap_err();
-        assert!(err.to_string().contains("must be 0 or 1"));
     }
 }

@@ -4,9 +4,7 @@
 //! fast without changing a single observable bit:
 //!
 //! * [`mailbox`] — CSR-packed flat mailbox arenas with a precomputed
-//!   mirror table: O(1) message delivery, one arena reused across rounds
-//!   — plus the per-port two-round [`mailbox::RingBuffer`] the
-//!   barrier-free engine runs on.
+//!   mirror table: O(1) message delivery, one arena reused across rounds.
 //! * [`engine`] — [`ParallelExecutor`], which runs the send and receive
 //!   phases across threads over degree-balanced node ranges, and fans out
 //!   callers' independent branch computations (the Theorem 4.1 solver's
@@ -18,55 +16,36 @@
 //!   counts, message counts, and errors are identical to the serial runner
 //!   for every protocol, network, and thread count (enforced by the
 //!   differential suite in `tests/`).
-//! * [`async_engine`] — [`AsyncExecutor`], the barrier-free executor:
-//!   every node advances on its own component-local round counter
-//!   ([`clock::RoundClock`]) the moment its neighbors' messages are
-//!   present, with adjacent nodes at most one completed round apart (the
-//!   ring buffer's depth-1 lookahead invariant). Same observational
-//!   contract, proven by the three-way differential suite; disconnected
-//!   and skewed-component workloads are where it shines.
-//! * [`shard`] — sharded execution: a [`shard::ShardPlan`] partitions the
-//!   network into degree-balanced shards, cut edges surface as ghost
-//!   ports fed by a per-round cut exchange, and
-//!   [`shard::ShardedExecutor`] runs the whole thing as a drop-in
-//!   [`Executor`] on in-process shard threads.
 //! * [`scenario`] — the scenario matrix: graph families × sizes ×
 //!   ID-assignment flavors enumerated from one base seed, with per-scenario
 //!   named RNG streams (ixa-style), so sweeps and benchmarks share one
 //!   declared source of workloads.
 //! * [`protocols`] — stock substrate-stressing protocols used by the
 //!   differential suite and the benches.
-//! * [`config`] — the names and pure parsers of the `DECO_ENGINE_*` /
-//!   `DECO_TRACE` environment variables CI pins its executor matrix with
+//! * [`config`] — the names and pure parsers of the `DECO_ENGINE_THREADS`
+//!   / `DECO_TRACE` environment variables CI pins its executor matrix with
 //!   (read by `deco_runtime::RuntimeBuilder::from_env`); malformed values
 //!   are [`config::EngineEnvError`] values, never silent fallbacks.
 //!
 //! Threading is built on `std::thread::scope` (the build environment has no
 //! crates.io access, so `rayon` is unavailable). The barrier engine's
-//! phases, its branch fan-out and the shard workers' phases all spawn
-//! through one helper, `par::fan_out`, which is the swap-in point if that
-//! changes.
+//! phases and its branch fan-out both spawn through one helper,
+//! `par::fan_out`, which is the swap-in point if that changes.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod async_engine;
-pub mod clock;
 pub mod config;
 pub mod engine;
 pub mod mailbox;
 pub mod par;
 pub mod protocols;
 pub mod scenario;
-pub mod shard;
 
-pub use async_engine::{AsyncExecutor, AsyncStats};
-pub use clock::RoundClock;
 pub use config::EngineEnvError;
-pub use engine::{EngineMode, ParallelExecutor};
+pub use engine::ParallelExecutor;
 pub use mailbox::MailboxPlan;
 pub use scenario::{GraphSpec, IdFlavor, Scenario, ScenarioMatrix};
-pub use shard::{ShardPlan, ShardedExecutor};
 
 // Re-exported so engine users name the contract without importing
 // deco-local explicitly.

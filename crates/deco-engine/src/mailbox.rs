@@ -35,7 +35,6 @@
 //! ```
 
 use deco_graph::{Graph, NodeId};
-use std::sync::Mutex;
 
 /// Precomputed arena geometry for one graph: per-node slot offsets and the
 /// slot-level mirror table.
@@ -100,98 +99,6 @@ impl MailboxPlan {
     }
 }
 
-/// Per-port two-round ring buffers for the barrier-free engine.
-///
-/// Slot `k` of the [`MailboxPlan`] names a directed port: node `v`'s port
-/// `j` at `offset(v) + j`, read by `v` and written by the neighbor behind
-/// it (through [`MailboxPlan::mirror`]). The async engine drops the global
-/// barrier, so one arena entry per port is no longer enough — a sender may
-/// already be publishing round `r + 1` while the receiver is still reading
-/// round `r`. It *is* enough to keep exactly two entries per port, indexed
-/// by round parity, because of the depth-1 lookahead invariant enforced by
-/// the scheduler's capacity predicate (see [`crate::clock`]): a node may
-/// publish round `r` only when every active neighbor has consumed round
-/// `r - 2`, so the parity slot being overwritten is always dead.
-///
-/// Each entry is a tiny mutex-protected cell: exactly one sender writes it
-/// and one receiver reads it, and the lock/unlock pair is what hands the
-/// message across threads (the clock's atomics only *announce* presence —
-/// see the module docs of [`crate::clock`]). The mutexes are uncontended by
-/// construction except for the momentary overlap of a sender's round
-/// `r + 2` write with a receiver's round-`r` read on the *other* parity.
-#[derive(Debug)]
-pub struct RingBuffer<M> {
-    /// `slots[k]` holds the two-round ring of plan slot `k`: payload
-    /// `vals[r % 2]` plus a two-bit presence mask, the per-port shape of
-    /// the same dense-arena diet
-    /// [`PortArena`](deco_local::arena::PortArena) applies globally (an
-    /// `[Option<M>; 2]` would pay the niche tag twice per port).
-    slots: Vec<Mutex<ParityCell<M>>>,
-}
-
-/// One port's two-round ring: dense payloads plus a presence bit per
-/// parity. A vacant parity may hold a stale payload from round `r - 2`;
-/// the mask bit is authoritative.
-#[derive(Debug, Default)]
-struct ParityCell<M> {
-    vals: [M; 2],
-    mask: u8,
-}
-
-impl<M: Clone + Default> RingBuffer<M> {
-    /// Allocates rings for `slots` ports (the plan's
-    /// [`MailboxPlan::num_slots`]), all empty.
-    pub fn new(slots: usize) -> RingBuffer<M> {
-        RingBuffer {
-            slots: (0..slots)
-                .map(|_| Mutex::new(ParityCell::default()))
-                .collect(),
-        }
-    }
-
-    /// Publishes the round-`r` message for plan slot `k`, overwriting the
-    /// (dead, by the depth-1 invariant) round-`r - 2` entry. `None` is a
-    /// real value — "this port is silent in round `r`" — and must be
-    /// written too, or the stale `r - 2` message would resurface.
-    pub fn publish(&self, k: usize, r: u64, msg: Option<M>) {
-        let p = (r % 2) as usize;
-        let mut cell = self.slots[k].lock().expect("ring slot poisoned");
-        match msg {
-            Some(m) => {
-                cell.vals[p] = m;
-                cell.mask |= 1 << p;
-            }
-            None => cell.mask &= !(1 << p),
-        }
-    }
-
-    /// Takes the round-`r` message of plan slot `k`. Callers must have
-    /// observed the sender's round-`r` publication through the clock first.
-    /// Taking (rather than cloning) keeps the slot clean for halted-sender
-    /// ports, whose rings are never written again.
-    pub fn take(&self, k: usize, r: u64) -> Option<M> {
-        let p = (r % 2) as usize;
-        let mut cell = self.slots[k].lock().expect("ring slot poisoned");
-        if cell.mask & (1 << p) != 0 {
-            cell.mask &= !(1 << p);
-            Some(std::mem::take(&mut cell.vals[p]))
-        } else {
-            None
-        }
-    }
-
-    /// Number of port rings.
-    pub fn num_slots(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Heap bytes of the ring storage: one mutex-protected two-parity dense
-    /// cell per port.
-    pub fn heap_bytes(&self) -> usize {
-        self.slots.len() * std::mem::size_of::<Mutex<ParityCell<M>>>()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -230,37 +137,5 @@ mod tests {
                 assert_eq!(g.adjacent(adj.neighbor)[back_port].edge, adj.edge);
             }
         }
-    }
-
-    #[test]
-    fn ring_buffer_keeps_two_rounds_by_parity() {
-        let ring: RingBuffer<u32> = RingBuffer::new(2);
-        assert_eq!(ring.num_slots(), 2);
-        ring.publish(0, 1, Some(10));
-        ring.publish(0, 2, Some(20));
-        // Both rounds coexist (different parity)…
-        assert_eq!(ring.take(0, 1), Some(10));
-        assert_eq!(ring.take(0, 2), Some(20));
-        // …and taking empties the slot.
-        assert_eq!(ring.take(0, 1), None);
-    }
-
-    #[test]
-    fn ring_buffer_publishes_silence_over_stale_rounds() {
-        let ring: RingBuffer<u32> = RingBuffer::new(1);
-        ring.publish(0, 3, Some(7));
-        // Round 5 is silent on this port; it must mask round 3's entry.
-        ring.publish(0, 5, None);
-        assert_eq!(ring.take(0, 5), None);
-    }
-
-    #[test]
-    fn ring_buffer_stale_parity_is_unobservable() {
-        // A round-r+2 silence must fully mask the round-r payload even
-        // though the dense cell still physically holds the stale bytes.
-        let ring: RingBuffer<u32> = RingBuffer::new(1);
-        ring.publish(0, 4, Some(9));
-        ring.publish(0, 6, None);
-        assert_eq!(ring.take(0, 6), None);
     }
 }

@@ -32,9 +32,7 @@
 //! assert_eq!(ranges, split_by_weight(&[100, 1, 1, 1], 2));
 //! ```
 
-use std::collections::VecDeque;
 use std::ops::Range;
-use std::sync::{Condvar, Mutex};
 
 /// Work below which the phase-parallel engine runs on one thread, whatever
 /// thread count was requested. Work is counted in arena slots (ports, `2m`)
@@ -43,10 +41,15 @@ use std::sync::{Condvar, Mutex};
 /// work, and the Theorem 4.1 recursion runs dozens of such small
 /// executions per solve. Outputs are identical on either side.
 ///
-/// The value 4096 was inherited from the auto (hardware-parallelism) mode.
-/// It has not been measured as a crossover for explicit thread counts, nor
-/// for branch weights, where the unit is sub-instance edges and each branch
-/// is a whole recursive solve.
+/// The value 4096 was inherited from the auto (hardware-parallelism) mode
+/// and has not been measured as a crossover for explicit thread counts.
+/// For branch weights the unit is sub-instance edges, and no measured solve
+/// comes near it: with the default config the largest Lemma 4.2 wave batch
+/// sums to between 25 sub-instance edges (regular(100,8)) and 508
+/// (regular(2000,12)) over regular(100,8), regular(512,16),
+/// regular(2000,12), kronecker(10,8) and kronecker(12,8). So
+/// `execute_branches` runs inline on every solve measured; only the
+/// engine's unit tests, with weights scaled ×128, reach its threaded path.
 pub const MIN_PARALLEL_SLOTS: usize = 4096;
 
 /// The phase-parallel engine's thread-count rule: the threads that a
@@ -168,113 +171,6 @@ pub fn split_mut_by_ranges<'a, T>(
     out
 }
 
-/// A work-stealing ready queue over the engine's degree-balanced worker
-/// partition, used by the barrier-free executor's scheduler.
-///
-/// Every node has a *home worker* — the owner of its [`split_by_weight`]
-/// range, so the steady-state assignment inherits the same degree balance
-/// the phase-parallel engine uses. [`WorkQueue::push`] enqueues a node at
-/// its home worker; [`WorkQueue::pop`] serves a worker from its own deque
-/// first (FIFO, keeping frontier waves roughly in node order) and *steals
-/// from the back* of the busiest sibling when its own deque runs dry.
-/// Workers with nothing to pop or steal sleep on a condvar until new work
-/// arrives or the queue is closed.
-///
-/// The deques live behind one mutex: on the hardware this project targets
-/// today (few cores; the dev container has one) scheduler contention is
-/// noise next to protocol work, and a single lock keeps the sleep/wake
-/// protocol trivially correct. Per-worker lock-free deques are the upgrade
-/// path if core counts grow — the API already speaks in worker ids, so
-/// only the internals would change. Correctness never depends on *which*
-/// worker runs a node: the async engine's outputs are a pure function of
-/// the dataflow, not the schedule.
-#[derive(Debug)]
-pub struct WorkQueue {
-    state: Mutex<QueueState>,
-    available: Condvar,
-    /// `home[v]` = index of the worker whose range owns node `v`.
-    home: Vec<usize>,
-}
-
-#[derive(Debug)]
-struct QueueState {
-    deques: Vec<VecDeque<usize>>,
-    closed: bool,
-}
-
-impl WorkQueue {
-    /// A queue for the workers owning `ranges` (a [`split_by_weight`]
-    /// tiling of `0..n`). Panics if the ranges do not tile `0..n`.
-    pub fn new(ranges: &[Range<usize>], n: usize) -> WorkQueue {
-        let mut home = vec![0usize; n];
-        let mut covered = 0usize;
-        for (w, r) in ranges.iter().enumerate() {
-            assert_eq!(r.start, covered, "ranges must tile 0..n consecutively");
-            for h in &mut home[r.clone()] {
-                *h = w;
-            }
-            covered = r.end;
-        }
-        assert_eq!(covered, n, "ranges must cover 0..n");
-        WorkQueue {
-            state: Mutex::new(QueueState {
-                deques: vec![VecDeque::new(); ranges.len().max(1)],
-                closed: false,
-            }),
-            available: Condvar::new(),
-            home,
-        }
-    }
-
-    /// Enqueues node `v` at its home worker and wakes one sleeper. Pushing
-    /// after [`WorkQueue::close`] is a no-op (late notifications racing
-    /// shutdown are harmless).
-    pub fn push(&self, v: usize) {
-        let mut s = self.state.lock().expect("work queue poisoned");
-        if s.closed {
-            return;
-        }
-        let w = self.home[v];
-        s.deques[w].push_back(v);
-        drop(s);
-        self.available.notify_one();
-    }
-
-    /// Dequeues work for `worker`: its own deque front first, else steals
-    /// from the back of the fullest sibling, else sleeps. Returns `None`
-    /// once the queue is closed and empty-handed.
-    pub fn pop(&self, worker: usize) -> Option<usize> {
-        let mut s = self.state.lock().expect("work queue poisoned");
-        loop {
-            if let Some(v) = s.deques[worker].pop_front() {
-                return Some(v);
-            }
-            let victim = (0..s.deques.len())
-                .filter(|&w| w != worker)
-                .max_by_key(|&w| s.deques[w].len())
-                .filter(|&w| !s.deques[w].is_empty());
-            if let Some(w) = victim {
-                return s.deques[w].pop_back();
-            }
-            if s.closed {
-                return None;
-            }
-            s = self
-                .available
-                .wait(s)
-                .expect("work queue poisoned while waiting");
-        }
-    }
-
-    /// Closes the queue and wakes every sleeper; subsequent pops drain
-    /// nothing and return `None`. Called when the last node finishes — or
-    /// on a worker panic, so sleeping siblings cannot hang the scope join.
-    pub fn close(&self) {
-        self.state.lock().expect("work queue poisoned").closed = true;
-        self.available.notify_all();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -392,8 +288,8 @@ mod tests {
 
     #[test]
     fn split_handles_degenerate_inputs() {
-        // Empty weight slice: no ranges (and no panic) — the partitioner
-        // and the sharded executor both lean on this for empty graphs.
+        // Empty weight slice: no ranges (and no panic) — the branch
+        // fan-out leans on this for empty batches.
         assert!(split_by_weight(&[], 1).is_empty());
         assert!(split_by_weight(&[], 8).is_empty());
 
@@ -435,60 +331,5 @@ mod tests {
     fn split_mut_rejects_gaps() {
         let mut data = [0u8; 5];
         let _ = split_mut_by_ranges(&mut data, &[0..2, 3..5]);
-    }
-
-    #[test]
-    fn work_queue_serves_home_worker_first() {
-        let q = WorkQueue::new(&[0..3, 3..6], 6);
-        q.push(4);
-        q.push(0);
-        q.push(1);
-        // Worker 0 drains its own deque in FIFO order before stealing.
-        assert_eq!(q.pop(0), Some(0));
-        assert_eq!(q.pop(0), Some(1));
-        // Own deque empty: steals worker 1's node.
-        assert_eq!(q.pop(0), Some(4));
-    }
-
-    #[test]
-    #[allow(clippy::single_range_in_vec_init)] // one worker range, not a vec-of-indices
-    fn work_queue_close_releases_sleepers() {
-        let q = WorkQueue::new(&[0..4], 4);
-        std::thread::scope(|scope| {
-            let waiter = scope.spawn(|| q.pop(0));
-            // Give the waiter a moment to block, then close.
-            std::thread::sleep(std::time::Duration::from_millis(10));
-            q.close();
-            assert_eq!(waiter.join().unwrap(), None);
-        });
-        // Pushes after close are dropped; pops keep returning None.
-        q.push(2);
-        assert_eq!(q.pop(0), None);
-    }
-
-    #[test]
-    fn work_queue_hands_work_across_threads() {
-        let q = WorkQueue::new(&[0..2, 2..4], 4);
-        let got = std::thread::scope(|scope| {
-            let consumer = scope.spawn(|| {
-                let mut seen = Vec::new();
-                while let Some(v) = q.pop(1) {
-                    seen.push(v);
-                }
-                seen
-            });
-            for v in 0..4 {
-                q.push(v);
-            }
-            std::thread::sleep(std::time::Duration::from_millis(20));
-            q.close();
-            consumer.join().unwrap()
-        });
-        // Worker 1 owns {2,3} and may steal {0,1}; order aside, nothing is
-        // lost or duplicated.
-        let mut sorted = got.clone();
-        sorted.sort_unstable();
-        sorted.dedup();
-        assert_eq!(sorted.len(), got.len(), "no duplicates");
     }
 }

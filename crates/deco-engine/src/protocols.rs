@@ -8,13 +8,8 @@
 //! Note how every program keys its state transitions off its **own local
 //! round counter** (`self.round`), never off any global notion of time —
 //! that is all the LOCAL model ever promises (a round-`r` state is a
-//! function of the radius-`r` ball), and it is the property the
-//! barrier-free [`AsyncExecutor`](crate::async_engine::AsyncExecutor)
-//! exploits: under its component-local [`RoundClock`](crate::clock), two
-//! nodes in different components can be many local rounds apart while each
-//! program observes exactly the synchronous semantics. [`StaggeredSum`] is
-//! the sharpest stressor here: its nodes halt at ID-dependent local rounds,
-//! so executors that conflate local and global time diverge instantly.
+//! function of the radius-`r` ball). [`StaggeredSum`] is the sharpest
+//! stressor here: its nodes halt at ID-dependent local rounds.
 
 use deco_local::network::NodeCtx;
 use deco_local::runner::{NodeProgram, Protocol};

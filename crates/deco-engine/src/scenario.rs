@@ -112,12 +112,11 @@ pub enum GraphSpec {
         /// Degree within each cluster.
         d: usize,
     },
-    /// Barrier-free stress case: a disjoint union of many small components
+    /// Disconnected stress case: a disjoint union of many small components
     /// of mixed shapes (paths, cycles, stars, cliques) and mixed sizes,
-    /// plus isolated nodes. Component-local round clocks drift the most
-    /// here — every component halts on its own schedule — which makes this
-    /// the showcase family for the async engine and a delivery-correctness
-    /// stress for every executor.
+    /// plus isolated nodes. Every component halts on its own schedule,
+    /// which makes this a delivery-correctness and halting stress for
+    /// every executor.
     ManySmallComponents {
         /// Number of non-trivial components (isolated nodes come extra).
         components: usize,
@@ -401,6 +400,7 @@ impl ScenarioMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::hash::Hasher;
 
     #[test]
     fn names_are_unique() {
@@ -471,6 +471,19 @@ mod tests {
         // 9 drawn components + 3 isolated nodes.
         let (_, count) = deco_graph::traversal::connected_components(&a);
         assert_eq!(count, 12);
+        // The topology itself is pinned, like the SparseRandom ID pin in
+        // deco-local: bump the digest deliberately, never by accident.
+        let mut h = deco_graph::hashing::DetHasher::default();
+        h.write_u64(a.num_nodes() as u64);
+        for [u, v] in a.edge_list() {
+            h.write_u64(u.index() as u64);
+            h.write_u64(v.index() as u64);
+        }
+        assert_eq!(
+            h.finish(),
+            14497121669631131190,
+            "many-small-components topology shifted"
+        );
     }
 
     #[test]

@@ -1,55 +1,20 @@
-//! Differential suite: the parallel engine, the barrier-free async engine,
-//! AND the sharded engine must be observationally identical to the serial
-//! reference runner — same outputs, same round count, same message count,
-//! same errors — on every scenario of the matrix, for every protocol, at
-//! several thread and shard counts. Four executors, one contract.
+//! Differential suite: the barrier engine must be observationally
+//! identical to the serial reference runner — same outputs, same round
+//! count, same message count, same errors — on every scenario of the
+//! matrix, for every protocol, at 1, 2 and 4 threads, on both sides of
+//! [`MIN_PARALLEL_SLOTS`].
 //!
-//! This is what makes any engine safe to substitute anywhere: parallelism,
-//! the flat-mailbox substrate, dropping the global round barrier, and even
-//! partitioning the network across shards with a cut exchange are pure
-//! implementation detail.
+//! This is what makes the engine safe to substitute anywhere: parallelism
+//! and the flat-mailbox substrate are pure implementation detail.
 
 use deco_engine::par::MIN_PARALLEL_SLOTS;
 use deco_engine::protocols::{FloodMax, PortEcho, StaggeredSum};
-use deco_engine::{
-    EngineMode, Executor, GraphSpec, ParallelExecutor, ScenarioMatrix, SerialExecutor,
-    ShardedExecutor,
-};
+use deco_engine::{Executor, GraphSpec, ParallelExecutor, ScenarioMatrix, SerialExecutor};
 use deco_local::network::{IdAssignment, Network};
 use deco_local::runner::{NodeProgram, Protocol, RunError, RunOutcome};
 
+/// The barrier engine at each thread count the CI engine matrix pins.
 const THREAD_COUNTS: [usize; 3] = [1, 2, 4];
-const SHARD_COUNTS: [usize; 3] = [1, 2, 4];
-const THREADS_PER_SHARD: [usize; 2] = [1, 2];
-
-/// Barrier and async modes at each pinned thread count.
-fn parallel_lineup() -> Vec<(String, ParallelExecutor)> {
-    let mut executors = Vec::new();
-    for &t in &THREAD_COUNTS {
-        executors.push((format!("barrier/t={t}"), ParallelExecutor::with_threads(t)));
-        executors.push((
-            format!("async/t={t}"),
-            ParallelExecutor::with_threads(t).with_mode(EngineMode::Async),
-        ));
-    }
-    executors
-}
-
-/// The sharded engine at each shard × threads-per-shard combination.
-/// Together with [`parallel_lineup`] this covers every cell the CI engine
-/// matrix pins.
-fn sharded_lineup() -> Vec<(String, ShardedExecutor)> {
-    let mut executors = Vec::new();
-    for &s in &SHARD_COUNTS {
-        for &t in &THREADS_PER_SHARD {
-            executors.push((
-                format!("shard/s={s}/t={t}"),
-                ShardedExecutor::new(s).with_threads_per_shard(t),
-            ));
-        }
-    }
-    executors
-}
 
 /// Demands that one engine run matches the serial run: identical outcomes,
 /// or identical errors.
@@ -75,8 +40,8 @@ fn assert_identical<O>(
     }
 }
 
-/// Runs one protocol on one network under serial + every engine of the
-/// lineup and demands identical observable behavior.
+/// Runs one protocol on one network under serial and the barrier engine at
+/// every thread count and demands identical observable behavior.
 fn differential<P>(name: &str, net: &Network<'_>, protocol: &P, max_rounds: u64)
 where
     P: Protocol,
@@ -85,13 +50,9 @@ where
     <P::Program as NodeProgram>::Output: Send + PartialEq + std::fmt::Debug,
 {
     let serial = SerialExecutor.execute(net, protocol, max_rounds);
-    for (label, exec) in parallel_lineup() {
-        let engine = exec.execute(net, protocol, max_rounds);
-        assert_identical(&format!("{name} {label}"), &serial, &engine);
-    }
-    for (label, exec) in sharded_lineup() {
-        let engine = exec.execute(net, protocol, max_rounds);
-        assert_identical(&format!("{name} {label}"), &serial, &engine);
+    for t in THREAD_COUNTS {
+        let engine = ParallelExecutor::with_threads(t).execute(net, protocol, max_rounds);
+        assert_identical(&format!("{name} barrier/t={t}"), &serial, &engine);
     }
 }
 

@@ -37,7 +37,6 @@ pub mod io;
 mod line_graph;
 pub mod matching;
 mod mutable;
-pub mod partition;
 mod subgraph;
 pub mod traversal;
 

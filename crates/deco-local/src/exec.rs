@@ -16,20 +16,15 @@
 //!
 //! The contract is *observational*, not operational: an executor promises
 //! the serial runner's outputs, round count (the maximum local halting
-//! round), message count, and errors — it does **not** promise to run
-//! rounds in lockstep, and it does not even promise to run in one address
-//! space. `deco-engine`'s barrier executor keeps global phases; its
-//! barrier-free `AsyncExecutor` advances every node on a component-local
-//! round clock, with adjacent nodes up to one round apart; its
-//! `ShardedExecutor` partitions the network into shards whose only
-//! coupling is the per-round exchange of cut-edge messages, with whole
-//! *shards* up to one round apart. All are legal implementations precisely
-//! because a node's round-`r` state depends only on its radius-`r`
-//! neighborhood, so any dependency-respecting schedule — threaded or
-//! clock-driven — reproduces the synchronous execution bit for bit. The
-//! differential suites hold every implementation to this, error cases
-//! included: [`RunError`] is reserved for model-level outcomes, identical
-//! on every executor.
+//! round), message count, and errors — it does **not** promise how the
+//! work is scheduled. `deco-engine`'s barrier executor keeps global
+//! phases but splits each over threads; that is a legal implementation
+//! precisely because a node's round-`r` state depends only on its
+//! radius-`r` neighborhood, so any dependency-respecting schedule
+//! reproduces the synchronous execution bit for bit. The differential
+//! suites hold every implementation to this, error cases included:
+//! [`RunError`] is reserved for model-level outcomes, identical on every
+//! executor.
 //!
 //! Besides protocol execution, an [`Executor`] also decides how a caller's
 //! *logically parallel branches* run ([`Executor::execute_branches`]): the

@@ -1,22 +1,19 @@
-//! # deco-runtime — one engine handle for the whole executor zoo
+//! # deco-runtime — one engine handle for both executors
 //!
-//! Every executor in this workspace is observationally identical — the
-//! serial reference runner, the barrier engine, the barrier-free async
-//! engine, and the sharded engine all promise the same outputs, rounds,
-//! messages, and errors for every protocol. What differed until now was
-//! the *API*: each algorithm shipped a `foo` + `foo_with<E: Executor>`
-//! pair, and picking an engine meant naming a concrete executor type at
-//! every call site. This crate collapses that zoo behind one value:
+//! The two executors in this workspace are observationally identical —
+//! the serial reference runner and the barrier engine promise the same
+//! outputs, rounds, messages, and errors for every protocol. This crate
+//! puts them behind one value, so no algorithm names a concrete executor
+//! type:
 //!
 //! * [`Engine`] — an enum over the concrete executors, itself an
-//!   [`Executor`] by static dispatch per arm. Adding a backend is one new
-//!   arm, not another `_with` fan-out across the API surface.
+//!   [`Executor`] by static dispatch per arm.
 //! * [`Runtime`] — the handle algorithms take (`fn(..., rt: &Runtime)`):
 //!   an [`Engine`] plus cross-cutting run policy (the round budget for
 //!   open-ended protocols).
-//! * [`RuntimeBuilder`] — explicit settings (threads / mode / shards /
-//!   max-rounds / trace) layered over the `DECO_ENGINE_*` / `DECO_TRACE`
-//!   environment: builder settings always win, unset ones fall back to the
+//! * [`RuntimeBuilder`] — explicit settings (threads / max-rounds / trace)
+//!   layered over the `DECO_ENGINE_THREADS` / `DECO_TRACE` environment:
+//!   builder settings always win, unset ones fall back to the
 //!   environment ([`RuntimeBuilder::from_env`] is the one place that reads
 //!   it, through the pure parsers in [`deco_engine::config`]), and a clean
 //!   slate selects the serial reference executor.
@@ -24,7 +21,7 @@
 //! ```
 //! use deco_runtime::{Engine, Runtime};
 //!
-//! // Explicit: two barrier worker threads, async substrate off.
+//! // Explicit: two barrier worker threads.
 //! let rt = Runtime::builder().threads(2).build();
 //! assert_eq!(rt.descriptor(), "barrier(threads=2)");
 //!
@@ -40,8 +37,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use deco_engine::config::{self, parse_mode, parse_shards, parse_threads, parse_trace};
-use deco_engine::{EngineMode, ParallelExecutor, ShardedExecutor};
+use deco_engine::config::{self, parse_threads, parse_trace};
+use deco_engine::ParallelExecutor;
 use deco_local::network::Network;
 use deco_local::runner::{NodeProgram, Protocol, RunError, RunOutcome};
 use deco_local::{Executor, SerialExecutor};
@@ -65,12 +62,9 @@ pub enum Engine {
     /// The serial reference executor — always available, always correct,
     /// and the oracle every other arm is differentially tested against.
     Serial(SerialExecutor),
-    /// The in-process parallel engine; its [`EngineMode`] selects the
-    /// barrier substrate or the barrier-free async substrate.
+    /// The barrier engine: phase-parallel rounds over degree-balanced
+    /// node ranges.
     Parallel(ParallelExecutor),
-    /// The sharded engine: the network partitioned over shard workers
-    /// coupled only by the per-round cut exchange.
-    Sharded(ShardedExecutor),
 }
 
 impl Engine {
@@ -98,21 +92,13 @@ impl From<ParallelExecutor> for Engine {
     }
 }
 
-impl From<ShardedExecutor> for Engine {
-    fn from(e: ShardedExecutor) -> Engine {
-        Engine::Sharded(e)
-    }
-}
-
 /// The stable one-line engine descriptor, embedded in run reports and
 /// experiment table headers and parsed back by the [`std::str::FromStr`]
 /// impl:
 ///
 /// * `serial` — the reference executor;
-/// * `barrier(threads=2)` / `async(threads=auto)` — the parallel engine,
-///   named by its round substrate (`threads=auto` is the hardware default);
-/// * `sharded(shards=4,threads=2)` — the sharded engine with its
-///   threads-per-shard.
+/// * `barrier(threads=2)` / `barrier(threads=auto)` — the barrier engine
+///   (`threads=auto` is the hardware default).
 ///
 /// The format is an API: tooling that attributes measurements to engines
 /// keys on these strings, and the round-trip test pins them.
@@ -120,22 +106,10 @@ impl std::fmt::Display for Engine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             Engine::Serial(_) => f.write_str("serial"),
-            Engine::Parallel(e) => {
-                let substrate = match e.mode() {
-                    EngineMode::Barrier => "barrier",
-                    EngineMode::Async => "async",
-                };
-                match e.threads() {
-                    0 => write!(f, "{substrate}(threads=auto)"),
-                    t => write!(f, "{substrate}(threads={t})"),
-                }
-            }
-            Engine::Sharded(e) => write!(
-                f,
-                "sharded(shards={},threads={})",
-                e.shards(),
-                e.threads_per_shard()
-            ),
+            Engine::Parallel(e) => match e.threads() {
+                0 => f.write_str("barrier(threads=auto)"),
+                t => write!(f, "barrier(threads={t})"),
+            },
         }
     }
 }
@@ -151,39 +125,13 @@ impl std::fmt::Display for DescriptorParseError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "unrecognized engine descriptor {:?} (expected serial, barrier(threads=N), \
-             async(threads=N), or sharded(shards=S,threads=T))",
+            "unrecognized engine descriptor {:?} (expected serial or barrier(threads=N))",
             self.descriptor
         )
     }
 }
 
 impl std::error::Error for DescriptorParseError {}
-
-/// Splits `descriptor` as `head(k1=v1,k2=v2,…)` and returns the head and
-/// the exact `key=` values requested, or `None` on any shape mismatch.
-fn parse_fields<'a, const N: usize>(
-    descriptor: &'a str,
-    keys: [&str; N],
-) -> Option<(&'a str, [&'a str; N])> {
-    let open = descriptor.find('(')?;
-    let body = descriptor[open..].strip_prefix('(')?.strip_suffix(')')?;
-    let head = &descriptor[..open];
-    let parts: Vec<&str> = body.split(',').collect();
-    if parts.len() != N {
-        return None;
-    }
-    let mut values = [""; N];
-    for (slot, (part, key)) in values.iter_mut().zip(parts.iter().zip(keys)) {
-        *slot = part.strip_prefix(key)?.strip_prefix('=')?;
-    }
-    Some((head, values))
-}
-
-/// A positive count, as descriptors spell thread and shard requests.
-fn parse_positive(raw: &str) -> Option<usize> {
-    raw.parse().ok().filter(|&n| n > 0)
-}
 
 impl std::str::FromStr for Engine {
     type Err = DescriptorParseError;
@@ -195,27 +143,15 @@ impl std::str::FromStr for Engine {
         if s == "serial" {
             return Ok(Engine::serial());
         }
-        if let Some((head, [threads])) = parse_fields(s, ["threads"]) {
-            let mode = match head {
-                "barrier" => EngineMode::Barrier,
-                "async" => EngineMode::Async,
-                _ => return Err(err()),
-            };
-            let exec = if threads == "auto" {
-                ParallelExecutor::auto()
-            } else {
-                ParallelExecutor::with_threads(parse_positive(threads).ok_or_else(err)?)
-            };
-            return Ok(Engine::Parallel(exec.with_mode(mode)));
+        let threads = s
+            .strip_prefix("barrier(threads=")
+            .and_then(|rest| rest.strip_suffix(')'))
+            .ok_or_else(err)?;
+        if threads == "auto" {
+            return Ok(Engine::Parallel(ParallelExecutor::auto()));
         }
-        if let Some(("sharded", [shards, threads])) = parse_fields(s, ["shards", "threads"]) {
-            let shards = parse_positive(shards).ok_or_else(err)?;
-            let threads = parse_positive(threads).ok_or_else(err)?;
-            return Ok(Engine::Sharded(
-                ShardedExecutor::new(shards).with_threads_per_shard(threads),
-            ));
-        }
-        Err(err())
+        let threads = threads.parse().ok().filter(|&t| t > 0).ok_or_else(err)?;
+        Ok(Engine::Parallel(ParallelExecutor::with_threads(threads)))
     }
 }
 
@@ -235,7 +171,6 @@ impl Executor for Engine {
         match self {
             Engine::Serial(e) => e.execute(net, protocol, max_rounds),
             Engine::Parallel(e) => e.execute(net, protocol, max_rounds),
-            Engine::Sharded(e) => e.execute(net, protocol, max_rounds),
         }
     }
 
@@ -247,7 +182,6 @@ impl Executor for Engine {
         match self {
             Engine::Serial(e) => e.execute_branches(weights, run),
             Engine::Parallel(e) => e.execute_branches(weights, run),
-            Engine::Sharded(e) => e.execute_branches(weights, run),
         }
     }
 }
@@ -284,8 +218,8 @@ impl Runtime {
         RuntimeBuilder::default()
     }
 
-    /// The runtime the `DECO_ENGINE_*` / `DECO_TRACE` variables select —
-    /// shorthand for `Runtime::builder().from_env()?.build()`. On
+    /// The runtime the `DECO_ENGINE_THREADS` / `DECO_TRACE` variables
+    /// select — shorthand for `Runtime::builder().from_env()?.build()`. On
     /// a clean environment (none of the variables set) this is the serial
     /// default.
     ///
@@ -342,12 +276,6 @@ impl From<ParallelExecutor> for Runtime {
     }
 }
 
-impl From<ShardedExecutor> for Runtime {
-    fn from(e: ShardedExecutor) -> Runtime {
-        Runtime::new(e.into())
-    }
-}
-
 impl Executor for Runtime {
     fn execute<P>(
         &self,
@@ -376,42 +304,21 @@ impl Executor for Runtime {
 /// Builds a [`Runtime`] from explicit settings layered over the
 /// environment. Each knob is independently tri-state: set by the builder
 /// (always wins), set by its environment variable (used when the builder
-/// left it unset and [`RuntimeBuilder::from_env`] ran), or absent. Engine
-/// selection follows the settings that are present:
-///
-/// * `shards > 0` → the sharded engine (`threads` = threads per shard;
-///   `mode` is ignored — the cut exchange is clock-driven by design);
-/// * otherwise, any of `threads` / `mode` present → the in-process
-///   parallel engine (`threads` 0 or unset = hardware auto);
-/// * nothing present → the serial reference executor.
+/// left it unset and [`RuntimeBuilder::from_env`] ran), or absent. A
+/// present `threads` selects the barrier engine (0 = hardware auto); an
+/// absent one selects the serial reference executor.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RuntimeBuilder {
     threads: Option<usize>,
-    mode: Option<EngineMode>,
-    shards: Option<usize>,
     max_rounds: Option<u64>,
     trace: Option<deco_trace::TraceMode>,
 }
 
 impl RuntimeBuilder {
-    /// Requests a worker thread count (0 = hardware auto). Selects the
-    /// parallel engine unless sharding is also requested, in which case
-    /// this is the thread count *per shard*.
+    /// Requests a worker thread count (0 = hardware auto), selecting the
+    /// barrier engine.
     pub fn threads(mut self, threads: usize) -> RuntimeBuilder {
         self.threads = Some(threads);
-        self
-    }
-
-    /// Selects the round substrate of the parallel engine (barrier or
-    /// async). Ignored when sharding.
-    pub fn mode(mut self, mode: EngineMode) -> RuntimeBuilder {
-        self.mode = Some(mode);
-        self
-    }
-
-    /// Requests sharded execution over `shards` shards (0 = unsharded).
-    pub fn shards(mut self, shards: usize) -> RuntimeBuilder {
-        self.shards = Some(shards);
         self
     }
 
@@ -434,11 +341,10 @@ impl RuntimeBuilder {
 
     /// Fills every knob the builder has *not* set from its environment
     /// variable, parsing with the pure parsers of [`deco_engine::config`]:
-    /// `DECO_ENGINE_THREADS`, `DECO_ENGINE_ASYNC`, `DECO_ENGINE_SHARDS`,
-    /// `DECO_TRACE`. This is the only reader of those variables in the
-    /// workspace.
+    /// `DECO_ENGINE_THREADS` and `DECO_TRACE`. This is the only reader of
+    /// those variables in the workspace.
     /// Explicit builder settings take precedence variable by variable —
-    /// `.threads(4).from_env()` honors `DECO_ENGINE_SHARDS` while ignoring
+    /// `.threads(4).from_env()` honors `DECO_TRACE` while ignoring
     /// `DECO_ENGINE_THREADS`.
     ///
     /// # Errors
@@ -460,8 +366,6 @@ impl RuntimeBuilder {
             Ok(())
         }
         fill(&mut self.threads, config::ENV_THREADS, parse_threads)?;
-        fill(&mut self.mode, config::ENV_ASYNC, parse_mode)?;
-        fill(&mut self.shards, config::ENV_SHARDS, parse_shards)?;
         fill(&mut self.trace, config::ENV_TRACE, parse_trace)?;
         Ok(self)
     }
@@ -469,20 +373,12 @@ impl RuntimeBuilder {
     /// Builds the runtime (see the type-level docs for the selection
     /// rules).
     pub fn build(self) -> Runtime {
-        // The one place that turns (threads, mode, shards) into a concrete
+        // The one place that turns the thread request into a concrete
         // executor.
-        let threads = self.threads.unwrap_or(0);
-        let shards = self.shards.unwrap_or(0);
-        let engine = if shards > 0 {
-            Engine::Sharded(ShardedExecutor::new(shards).with_threads_per_shard(threads.max(1)))
-        } else if self.threads.is_none() && self.mode.is_none() {
-            Engine::serial()
-        } else {
-            let exec = match threads {
-                0 => ParallelExecutor::auto(),
-                t => ParallelExecutor::with_threads(t),
-            };
-            Engine::Parallel(exec.with_mode(self.mode.unwrap_or_default()))
+        let engine = match self.threads {
+            None => Engine::serial(),
+            Some(0) => Engine::Parallel(ParallelExecutor::auto()),
+            Some(t) => Engine::Parallel(ParallelExecutor::with_threads(t)),
         };
         // Tracing is a process-global sink, not per-runtime state (the
         // Runtime stays Copy). Only an *explicit* selection touches the
@@ -524,20 +420,6 @@ mod tests {
             *Runtime::builder().threads(0).build().engine(),
             Engine::Parallel(ParallelExecutor::auto())
         );
-        assert_eq!(
-            *Runtime::builder().mode(EngineMode::Async).build().engine(),
-            Engine::Parallel(ParallelExecutor::auto().with_mode(EngineMode::Async))
-        );
-        assert_eq!(
-            *Runtime::builder().shards(4).threads(2).build().engine(),
-            Engine::Sharded(ShardedExecutor::new(4).with_threads_per_shard(2))
-        );
-        // shards=0 explicitly means "not sharded"; with nothing else set
-        // that is the serial default.
-        assert_eq!(
-            *Runtime::builder().shards(0).build().engine(),
-            Engine::serial()
-        );
     }
 
     #[test]
@@ -568,13 +450,8 @@ mod tests {
             "barrier(threads=auto)"
         );
         assert_eq!(
-            Engine::Parallel(ParallelExecutor::with_threads(2).with_mode(EngineMode::Async))
-                .to_string(),
-            "async(threads=2)"
-        );
-        assert_eq!(
-            Engine::Sharded(ShardedExecutor::new(4).with_threads_per_shard(2)).to_string(),
-            "sharded(shards=4,threads=2)"
+            Engine::Parallel(ParallelExecutor::with_threads(2)).to_string(),
+            "barrier(threads=2)"
         );
     }
 
@@ -585,16 +462,8 @@ mod tests {
             Engine::Parallel(ParallelExecutor::auto()),
             Engine::Parallel(ParallelExecutor::with_threads(1)),
             Engine::Parallel(ParallelExecutor::with_threads(2)),
-            Engine::Parallel(ParallelExecutor::with_threads(4).with_mode(EngineMode::Async)),
-            Engine::Parallel(ParallelExecutor::auto().with_mode(EngineMode::Async)),
-            Engine::Sharded(ShardedExecutor::new(1)),
-            Engine::Sharded(ShardedExecutor::new(2)),
-            Engine::Sharded(ShardedExecutor::new(4).with_threads_per_shard(2)),
+            Engine::Parallel(ParallelExecutor::with_threads(4)),
         ];
-        assert_eq!(
-            Engine::Sharded(ShardedExecutor::new(2)).to_string(),
-            "sharded(shards=2,threads=1)"
-        );
         for engine in lineup {
             let descriptor = engine.to_string();
             let parsed: Engine = descriptor.parse().expect("descriptor parses");
@@ -618,10 +487,18 @@ mod tests {
             "sharded(shards=2,threads=0)",
             "sharded(threads=1,shards=2)",
             "sharded(shards=2,threads=1,transport=channel)",
+            "sharded(shards=2,threads=1)",
+            "async(threads=2)",
+            "async(threads=auto)",
         ] {
             let err = bad.parse::<Engine>().unwrap_err();
             assert_eq!(err.descriptor, bad);
             assert!(err.to_string().contains("descriptor"), "{err}");
+            assert!(
+                err.to_string()
+                    .ends_with("(expected serial or barrier(threads=N))"),
+                "{err}"
+            );
         }
     }
 
@@ -631,10 +508,6 @@ mod tests {
         assert_eq!(
             *Runtime::from(ParallelExecutor::with_threads(2)).engine(),
             Engine::Parallel(ParallelExecutor::with_threads(2))
-        );
-        assert_eq!(
-            *Runtime::from(ShardedExecutor::new(2)).engine(),
-            Engine::Sharded(ShardedExecutor::new(2))
         );
     }
 
@@ -652,8 +525,6 @@ mod tests {
         for rt in [
             Runtime::serial(),
             Runtime::from(ParallelExecutor::with_threads(2)),
-            Runtime::from(ParallelExecutor::with_threads(2).with_mode(EngineMode::Async)),
-            Runtime::from(ShardedExecutor::new(2)),
         ] {
             let out = rt.execute(&net, &FloodMax { radius: 3 }, 20).unwrap();
             assert_eq!(out.outputs, oracle.outputs, "{}", rt.descriptor());

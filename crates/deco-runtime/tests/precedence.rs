@@ -1,5 +1,5 @@
 //! Builder-vs-environment precedence: explicit [`RuntimeBuilder`] settings
-//! must override each `DECO_ENGINE_*` / `DECO_TRACE` variable
+//! must override each `DECO_ENGINE_THREADS` / `DECO_TRACE` variable
 //! *individually*, and a clean environment must select the serial default.
 //!
 //! Environment variables are process-global, and the test harness runs
@@ -8,14 +8,14 @@
 //! restores the prior environment on exit — including variables the CI
 //! matrix itself pins (these tests must pass identically on every CI leg).
 
-use deco_engine::config::{ENV_ASYNC, ENV_SHARDS, ENV_THREADS, ENV_TRACE};
-use deco_engine::{EngineMode, ParallelExecutor, ShardedExecutor};
+use deco_engine::config::{ENV_THREADS, ENV_TRACE};
+use deco_engine::ParallelExecutor;
 use deco_runtime::{Engine, Runtime, DEFAULT_MAX_ROUNDS};
 use std::sync::{Mutex, MutexGuard};
 
 static ENV_LOCK: Mutex<()> = Mutex::new(());
 
-const VARS: [&str; 4] = [ENV_THREADS, ENV_ASYNC, ENV_SHARDS, ENV_TRACE];
+const VARS: [&str; 2] = [ENV_THREADS, ENV_TRACE];
 
 /// Runs `body` with the engine environment set to exactly `vars` (every
 /// other engine variable removed), restoring the prior environment after.
@@ -59,22 +59,6 @@ fn env_alone_selects_each_engine() {
     // engine at the hardware-auto width.
     let rt = with_env(&[(ENV_THREADS, "0")], || Runtime::from_env().unwrap());
     assert_eq!(*rt.engine(), Engine::Parallel(ParallelExecutor::auto()));
-    let rt = with_env(&[(ENV_ASYNC, "1")], || Runtime::from_env().unwrap());
-    assert_eq!(
-        *rt.engine(),
-        Engine::Parallel(ParallelExecutor::auto().with_mode(EngineMode::Async))
-    );
-    let rt = with_env(&[(ENV_SHARDS, "3"), (ENV_THREADS, "2")], || {
-        Runtime::from_env().unwrap()
-    });
-    assert_eq!(
-        *rt.engine(),
-        Engine::Sharded(ShardedExecutor::new(3).with_threads_per_shard(2))
-    );
-    assert_eq!(rt.descriptor(), "sharded(shards=3,threads=2)");
-    // Sharding without a thread variable runs one thread per shard.
-    let rt = with_env(&[(ENV_SHARDS, "2")], || Runtime::from_env().unwrap());
-    assert_eq!(*rt.engine(), Engine::Sharded(ShardedExecutor::new(2)));
 }
 
 #[test]
@@ -89,47 +73,6 @@ fn builder_threads_overrides_env_threads() {
     assert_eq!(
         *rt.engine(),
         Engine::Parallel(ParallelExecutor::with_threads(4))
-    );
-}
-
-#[test]
-fn builder_mode_overrides_env_async() {
-    let rt = with_env(&[(ENV_ASYNC, "1")], || {
-        Runtime::builder()
-            .mode(EngineMode::Barrier)
-            .from_env()
-            .expect("env parses")
-            .build()
-    });
-    assert_eq!(*rt.engine(), Engine::Parallel(ParallelExecutor::auto()));
-}
-
-#[test]
-fn builder_shards_overrides_env_shards() {
-    // Builder says unsharded; the environment says 4 shards. Builder wins
-    // on that knob while the environment still supplies the thread width.
-    let rt = with_env(&[(ENV_SHARDS, "4"), (ENV_THREADS, "2")], || {
-        Runtime::builder()
-            .shards(0)
-            .from_env()
-            .expect("env parses")
-            .build()
-    });
-    assert_eq!(
-        *rt.engine(),
-        Engine::Parallel(ParallelExecutor::with_threads(2))
-    );
-    // And the reverse: builder shards over an unsharded environment.
-    let rt = with_env(&[(ENV_THREADS, "2")], || {
-        Runtime::builder()
-            .shards(3)
-            .from_env()
-            .expect("env parses")
-            .build()
-    });
-    assert_eq!(
-        *rt.engine(),
-        Engine::Sharded(ShardedExecutor::new(3).with_threads_per_shard(2))
     );
 }
 
@@ -161,14 +104,17 @@ fn builder_never_reads_an_overridden_malformed_variable() {
 fn builder_trace_overrides_env_trace() {
     // The builder pins tracing off, so a malformed DECO_TRACE is never
     // read; the environment still picks the engine.
-    let rt = with_env(&[(ENV_TRACE, "verbose"), (ENV_SHARDS, "2")], || {
+    let rt = with_env(&[(ENV_TRACE, "verbose"), (ENV_THREADS, "2")], || {
         Runtime::builder()
             .trace(deco_trace::TraceMode::Off)
             .from_env()
             .expect("overridden variable is never consulted")
             .build()
     });
-    assert_eq!(*rt.engine(), Engine::Sharded(ShardedExecutor::new(2)));
+    assert_eq!(
+        *rt.engine(),
+        Engine::Parallel(ParallelExecutor::with_threads(2))
+    );
     // Left to the environment, the same value is a structured error
     // naming the variable (which the binaries turn into exit status 2).
     let err = with_env(&[(ENV_TRACE, "verbose")], || {

@@ -215,7 +215,7 @@ fn malformed_frames_get_structured_errors_and_the_daemon_survives() {
             ErrorCode::Malformed,
             "x6",
         ),
-        // The sharded descriptor has no transport field.
+        // Only serial and barrier descriptors parse.
         (
             RequestFrame {
                 id: "x7".to_string(),
@@ -224,7 +224,7 @@ fn malformed_frames_get_structured_errors_and_the_daemon_survives() {
                         nodes: 2,
                         edges: vec![(0, 1)],
                     },
-                    engine: Some("sharded(shards=2,threads=1,transport=channel)".to_string()),
+                    engine: Some("async(threads=2)".to_string()),
                     progress: false,
                 },
             }

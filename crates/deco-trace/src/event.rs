@@ -22,15 +22,12 @@ pub enum Phase {
     /// The send half of a round: gathering every node's outgoing messages.
     Send,
     /// The delivery half of a round (serial runner only, which the barrier
-    /// engine hands sub-threshold networks to; the engines deliver
+    /// engine hands sub-threshold networks to; its threaded path delivers
     /// implicitly through mirror-slot reads during `Receive`).
     Deliver,
     /// The receive half of a round: processing inboxes and re-evaluating
     /// outputs.
     Receive,
-    /// One whole engine execution that has no global round structure to
-    /// attribute finer (the async and sharded engines).
-    Execute,
     /// One Lemma 4.2 sweep of the solver (dependency-wavefront class
     /// solves).
     Sweep,
@@ -43,9 +40,8 @@ pub enum Phase {
 
 impl Phase {
     /// Every phase, in canonical rendering order.
-    pub const ALL: [Phase; 8] = [
+    pub const ALL: [Phase; 7] = [
         Phase::Pipeline,
-        Phase::Execute,
         Phase::Round,
         Phase::Send,
         Phase::Deliver,
@@ -66,7 +62,6 @@ impl Phase {
             Phase::Send => "send",
             Phase::Deliver => "deliver",
             Phase::Receive => "receive",
-            Phase::Execute => "execute",
             Phase::Sweep => "sweep",
             Phase::SolverBranch => "solver-branch",
             Phase::Pipeline => "pipeline",
@@ -95,12 +90,6 @@ pub enum Counter {
     Messages,
     /// Rounds executed by one engine execution (maximum halting round).
     Rounds,
-    /// Idle node-rounds a global barrier would have burned, eliminated by
-    /// the async engine (Σ over nodes of `global_rounds − halt_round`).
-    BarrierWaitEliminated,
-    /// Rounds-in-flight samples of the async engine (how far the globally
-    /// furthest node was ahead of a receiving node, plus one).
-    RoundsInFlight,
     /// Peak resident set size of the process, snapshotted at run-scope
     /// finish (sampled, max-merged: concurrent scopes see one process).
     PeakRssBytes,
@@ -108,13 +97,7 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in canonical rendering order.
-    pub const ALL: [Counter; 5] = [
-        Counter::Messages,
-        Counter::Rounds,
-        Counter::BarrierWaitEliminated,
-        Counter::RoundsInFlight,
-        Counter::PeakRssBytes,
-    ];
+    pub const ALL: [Counter; 3] = [Counter::Messages, Counter::Rounds, Counter::PeakRssBytes];
 
     /// Dense index for array-backed aggregation.
     pub(crate) fn index(self) -> usize {
@@ -129,8 +112,6 @@ impl Counter {
         match self {
             Counter::Messages => "messages",
             Counter::Rounds => "rounds",
-            Counter::BarrierWaitEliminated => "barrier-wait-eliminated",
-            Counter::RoundsInFlight => "rounds-in-flight",
             Counter::PeakRssBytes => "peak-rss-bytes",
         }
     }
@@ -359,7 +340,7 @@ mod tests {
                 value: 1 << 30,
             },
             TraceEvent::SampleSummary {
-                counter: Counter::RoundsInFlight,
+                counter: Counter::PeakRssBytes,
                 count: 10,
                 sum: 30,
                 min: 1,

@@ -458,7 +458,7 @@ mod tests {
         {
             let _span = span(Phase::Round);
             count(Counter::Messages, 7);
-            sample(Counter::RoundsInFlight, 3);
+            sample(Counter::PeakRssBytes, 3);
         }
         assert_eq!(scope.finish(), None);
         assert_eq!(snapshot(), None);
@@ -474,16 +474,19 @@ mod tests {
             let _span = round_span(Phase::Send, 4);
             count(Counter::Messages, 11);
         }
-        sample_summary(Counter::RoundsInFlight, 2, 6, 2, 4);
-        sample_summary(Counter::RoundsInFlight, 0, 0, 0, 0); // ignored
+        sample_summary(Counter::PeakRssBytes, 2, 6, 2, 4);
+        sample_summary(Counter::PeakRssBytes, 0, 0, 0, 0); // ignored
         let metrics = scope.finish().expect("tracing on");
         assert_eq!(metrics.counter(Counter::Messages), Some(11));
         let send = metrics.phase(Phase::Send).expect("send span recorded");
         assert_eq!(send.count, 1);
-        let rif = metrics.sample(Counter::RoundsInFlight).unwrap();
-        assert_eq!((rif.count, rif.sum), (2, 6));
+        // The summary merges with the RSS snapshot `finish` takes.
+        let snapshot = peak_rss_bytes().is_some();
+        let rss = metrics.sample(Counter::PeakRssBytes).unwrap();
+        assert_eq!((rss.count, rss.min), (2 + u64::from(snapshot), 2));
+        assert!(rss.sum >= 6);
         if cfg!(target_os = "linux") {
-            assert!(metrics.sample(Counter::PeakRssBytes).is_some());
+            assert!(snapshot);
         }
         let events = ring_events();
         assert!(events.iter().any(|e| matches!(
@@ -541,7 +544,7 @@ mod tests {
         let scope = run_scope();
         count(Counter::Messages, 3);
         {
-            let _span = span(Phase::Execute);
+            let _span = span(Phase::Round);
         }
         let metrics = scope.finish().unwrap();
         assert_eq!(metrics.counter(Counter::Messages), Some(3));

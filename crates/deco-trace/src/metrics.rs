@@ -223,7 +223,7 @@ mod tests {
         assert!(report.is_empty());
         assert_eq!(report.counter(Counter::Messages), None);
         assert!(report.phase(Phase::Round).is_none());
-        assert!(report.sample(Counter::RoundsInFlight).is_none());
+        assert!(report.sample(Counter::PeakRssBytes).is_none());
     }
 
     #[test]
@@ -252,11 +252,11 @@ mod tests {
             value: 0,
         });
         agg.observe(&TraceEvent::Sample {
-            counter: Counter::RoundsInFlight,
+            counter: Counter::PeakRssBytes,
             value: 3,
         });
         agg.observe(&TraceEvent::SampleSummary {
-            counter: Counter::RoundsInFlight,
+            counter: Counter::PeakRssBytes,
             count: 2,
             sum: 9,
             min: 1,
@@ -268,16 +268,16 @@ mod tests {
         assert_eq!(report.counter(Counter::Messages), Some(12));
         // A zero-valued count still registers the counter as present.
         assert_eq!(report.counter(Counter::Rounds), Some(0));
-        let rif = report.sample(Counter::RoundsInFlight).unwrap();
-        assert_eq!((rif.count, rif.sum, rif.min, rif.max), (3, 12, 1, 8));
-        assert_eq!(rif.mean(), 4.0);
+        let rss = report.sample(Counter::PeakRssBytes).unwrap();
+        assert_eq!((rss.count, rss.sum, rss.min, rss.max), (3, 12, 1, 8));
+        assert_eq!(rss.mean(), 4.0);
     }
 
     #[test]
     fn empty_sample_summary_is_ignored() {
         let mut agg = Aggregator::new();
         agg.observe(&TraceEvent::SampleSummary {
-            counter: Counter::RoundsInFlight,
+            counter: Counter::PeakRssBytes,
             count: 0,
             sum: 0,
             min: 0,

@@ -183,7 +183,7 @@ mod tests {
                 value: 128,
             }],
             samples: vec![SampleStat {
-                counter: Counter::RoundsInFlight,
+                counter: Counter::PeakRssBytes,
                 count: 10,
                 sum: 25,
                 min: 1,
@@ -215,7 +215,7 @@ mod tests {
         let table = counter_table(&sample_report());
         assert!(table.contains("messages"), "{table}");
         assert!(table.contains("128"), "{table}");
-        assert!(table.contains("rounds-in-flight"), "{table}");
+        assert!(table.contains("peak-rss-bytes"), "{table}");
         assert!(table.contains("2.50"), "{table}");
     }
 

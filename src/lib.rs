@@ -8,13 +8,11 @@
 //! * [`local`] — the LOCAL model: networks, the serial reference runner,
 //!   the [`local::Executor`] contract.
 //! * [`engine`] — the high-throughput round-execution engine (flat
-//!   mailboxes, deterministic multi-threading, scenario matrix), the
-//!   barrier-free [`engine::AsyncExecutor`] with component-local round
-//!   clocks, and the sharded engine.
-//! * [`runtime`] — the unified [`Runtime`] facade: one handle over every
-//!   engine ([`Engine`] is serial / barrier / async / sharded behind one
-//!   `match`), built explicitly via [`RuntimeBuilder`] or from the
-//!   `DECO_ENGINE_*` environment via [`Runtime::from_env`].
+//!   mailboxes, deterministic multi-threading, scenario matrix).
+//! * [`runtime`] — the unified [`Runtime`] facade: one handle over both
+//!   engines ([`Engine`] is serial / barrier behind one `match`), built
+//!   explicitly via [`RuntimeBuilder`] or from the `DECO_ENGINE_THREADS`
+//!   environment variable via [`Runtime::from_env`].
 //! * [`algos`] — Linial, Cole–Vishkin, class elimination, Luby, greedy;
 //!   every protocol entry point takes `&Runtime`.
 //! * [`core_alg`] — the Theorem 4.1 solver; pipeline entry points return
@@ -42,8 +40,8 @@
 //! use deco::graph::generators;
 //! use deco::{EdgeUpdate, Runtime, Session};
 //!
-//! // Honors DECO_ENGINE_THREADS / DECO_ENGINE_ASYNC / DECO_ENGINE_SHARDS /
-//! // DECO_TRACE; a clean environment means the serial reference engine.
+//! // Honors DECO_ENGINE_THREADS / DECO_TRACE; a clean environment means
+//! // the serial reference engine.
 //! // Malformed variables are structured errors, never silent fallbacks.
 //! let rt = Runtime::from_env().expect("engine environment parses");
 //!

@@ -3,7 +3,7 @@
 //! identical `UpdateReport` sequences on every engine arm.
 
 use deco::core_alg::solver::SolverConfig;
-use deco::engine::{EngineMode, ParallelExecutor, ShardedExecutor};
+use deco::engine::ParallelExecutor;
 use deco::graph::coloring::check_edge_coloring;
 use deco::graph::{generators, Graph, MutableGraph, NodeId};
 use deco::{EdgeUpdate, Runtime, Session};
@@ -133,8 +133,6 @@ fn runtime_lineup() -> Vec<(String, Runtime)> {
     let runtimes = vec![
         Runtime::serial(),
         Runtime::from(ParallelExecutor::with_threads(2)),
-        Runtime::from(ParallelExecutor::with_threads(2).with_mode(EngineMode::Async)),
-        Runtime::from(ShardedExecutor::new(2)),
     ];
     runtimes
         .into_iter()

@@ -1,18 +1,27 @@
 //! Differential suite for the parallel solver recursion through the
-//! unified [`Runtime`] facade: running the Theorem 4.1 solver on every
-//! engine arm — barrier, barrier-free async, and sharded alike — at 1/2/4
-//! worker threads (and 2/4 shards) must be observationally identical to
-//! the serial recursion — same colors, same cost tree (round counts and
-//! structure), same merged `SolveStats`, same message totals — on every
-//! scenario. Plus the structured error paths: depth overruns and residual
-//! slack shortfalls surface as values, never panics, on every engine.
+//! unified [`Runtime`] facade: running the Theorem 4.1 solver on the
+//! barrier engine at 1/2/4 worker threads must be observationally
+//! identical to the serial recursion — same colors, same cost tree (round
+//! counts and structure), same merged `SolveStats`, same message totals —
+//! on every scenario. Plus the structured error paths: depth overruns and
+//! residual slack shortfalls surface as values, never panics, on every
+//! engine.
+//!
+//! What the barrier legs actually thread: only the top-level Linial pass
+//! on L(G), and only where L(G) reaches [`MIN_PARALLEL_SLOTS`] ports
+//! (asserted below for the first scenario). Every other execution runs on
+//! the serial runner, and every `execute_branches` batch runs inline: the
+//! largest Lemma 4.2 wave batch here sums to a few dozen sub-instance
+//! edges, and 508 on regular(2000,12), the largest measured — far below
+//! the threshold. Threaded branch merging is covered only by the
+//! ×128-weight unit tests in deco-engine's `engine.rs`.
 
 use deco::core_alg::instance;
 use deco::core_alg::solver::{
     solve_pipeline, solve_two_delta_minus_one, SolveError, Solver, SolverConfig,
 };
 use deco::engine::par::MIN_PARALLEL_SLOTS;
-use deco::engine::{EngineMode, GraphSpec, IdFlavor, ParallelExecutor, Scenario, ShardedExecutor};
+use deco::engine::{GraphSpec, IdFlavor, ParallelExecutor, Scenario};
 use deco::graph::{generators, Graph, LineGraph};
 use deco::Runtime;
 
@@ -22,25 +31,16 @@ fn ids(g: &Graph) -> Vec<u64> {
     (1..=g.num_nodes() as u64).collect()
 }
 
-/// The four-way lineup as runtimes: barrier and async engines at each
-/// pinned thread count, the sharded engine at each shard ×
-/// threads-per-shard cell (the solver's protocol executions and branch
-/// fan-outs both route through the runtime), plus the env-pinned runtime
-/// (`DECO_ENGINE_THREADS` × `DECO_ENGINE_ASYNC` × `DECO_ENGINE_SHARDS`).
-/// Labels are the runtimes' own stable descriptors.
+/// The lineup as runtimes: the barrier engine at each pinned thread count
+/// (the solver's protocol executions and branch fan-outs both route
+/// through the runtime), plus the env-pinned runtime
+/// (`DECO_ENGINE_THREADS`). Labels are the runtimes' own stable
+/// descriptors.
 fn runtime_lineup() -> Vec<(String, Runtime)> {
-    let mut runtimes: Vec<Runtime> = Vec::new();
-    for &t in &THREAD_COUNTS {
-        runtimes.push(Runtime::from(ParallelExecutor::with_threads(t)));
-        runtimes.push(Runtime::from(
-            ParallelExecutor::with_threads(t).with_mode(EngineMode::Async),
-        ));
-    }
-    for (s, t) in [(2, 1), (4, 2)] {
-        runtimes.push(Runtime::from(
-            ShardedExecutor::new(s).with_threads_per_shard(t),
-        ));
-    }
+    let mut runtimes: Vec<Runtime> = THREAD_COUNTS
+        .iter()
+        .map(|&t| Runtime::from(ParallelExecutor::with_threads(t)))
+        .collect();
     runtimes.push(Runtime::from_env().expect("engine env vars parse"));
     runtimes
         .into_iter()

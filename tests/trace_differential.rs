@@ -9,7 +9,7 @@
 //! on a local mutex because the dispatch is process-global.
 
 use deco::core_alg::solver::{solve_two_delta_minus_one, RunReport, SolverConfig};
-use deco::engine::{EngineMode, GraphSpec, IdFlavor, ParallelExecutor, Scenario, ShardedExecutor};
+use deco::engine::{GraphSpec, IdFlavor, ParallelExecutor, Scenario};
 use deco::graph::Graph;
 use deco::trace::{Counter, Phase, TraceConfig, TraceEvent};
 use deco::Runtime;
@@ -26,8 +26,7 @@ fn ids(g: &Graph) -> Vec<u64> {
     (1..=g.num_nodes() as u64).collect()
 }
 
-/// The four engine arms: serial reference, barrier, barrier-free async,
-/// sharded.
+/// Both engine arms: serial reference and barrier.
 fn lineup() -> Vec<(&'static str, Runtime)> {
     vec![
         ("serial", Runtime::serial()),
@@ -35,11 +34,6 @@ fn lineup() -> Vec<(&'static str, Runtime)> {
             "barrier(t=2)",
             Runtime::from(ParallelExecutor::with_threads(2)),
         ),
-        (
-            "async(t=2)",
-            Runtime::from(ParallelExecutor::with_threads(2).with_mode(EngineMode::Async)),
-        ),
-        ("sharded(s=2)", Runtime::from(ShardedExecutor::new(2))),
     ]
 }
 
