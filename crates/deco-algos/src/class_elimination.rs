@@ -117,12 +117,9 @@ impl NodeProgram for ByClassesProgram {
     type Msg = u32;
     type Output = u32;
 
-    fn send(&mut self, ctx: &NodeCtx<'_>) -> Vec<Option<u32>> {
+    fn send(&mut self, _ctx: &NodeCtx<'_>) -> Option<u32> {
         // Broadcast the finalized color; nothing before finalizing.
-        match self.chosen {
-            Some(c) => vec![Some(c); ctx.degree()],
-            None => Vec::new(),
-        }
+        self.chosen
     }
 
     fn receive(&mut self, _ctx: &NodeCtx<'_>, inbox: &[Option<u32>]) {

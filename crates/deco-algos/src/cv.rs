@@ -95,8 +95,8 @@ impl NodeProgram for CvForestProgram {
     type Msg = Msg;
     type Output = u8;
 
-    fn send(&mut self, ctx: &NodeCtx<'_>) -> Vec<Option<Msg>> {
-        vec![Some(self.color); ctx.degree()]
+    fn send(&mut self, _ctx: &NodeCtx<'_>) -> Option<Msg> {
+        Some(self.color)
     }
 
     fn receive(&mut self, _ctx: &NodeCtx<'_>, inbox: &[Option<Msg>]) {

@@ -46,8 +46,8 @@ impl NodeProgram for ThreeColorDeg2Program {
     type Msg = u64;
     type Output = u8;
 
-    fn send(&mut self, ctx: &NodeCtx<'_>) -> Vec<Option<u64>> {
-        vec![Some(self.color); ctx.degree()]
+    fn send(&mut self, _ctx: &NodeCtx<'_>) -> Option<u64> {
+        Some(self.color)
     }
 
     fn receive(&mut self, ctx: &NodeCtx<'_>, inbox: &[Option<u64>]) {

@@ -196,8 +196,8 @@ impl NodeProgram for LinialProgram {
     type Msg = u64;
     type Output = u64;
 
-    fn send(&mut self, ctx: &NodeCtx<'_>) -> Vec<Option<u64>> {
-        vec![Some(self.color); ctx.degree()]
+    fn send(&mut self, _ctx: &NodeCtx<'_>) -> Option<u64> {
+        Some(self.color)
     }
 
     fn receive(&mut self, ctx: &NodeCtx<'_>, inbox: &[Option<u64>]) {

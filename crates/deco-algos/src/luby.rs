@@ -32,15 +32,6 @@ pub enum LubyMsg {
     },
 }
 
-/// The vacant-slot filler for the engines' dense message arenas
-/// (`NodeProgram::Msg: Default`). The value is never observed on the wire —
-/// a presence bit guards every arena slot.
-impl Default for LubyMsg {
-    fn default() -> Self {
-        LubyMsg::Final { color: 0 }
-    }
-}
-
 /// Protocol: randomized list vertex coloring of the network's graph.
 /// For (2Δ̄+1)-style edge coloring, run it on the line graph.
 #[derive(Debug, Clone)]
@@ -75,12 +66,12 @@ impl NodeProgram for LubyProgram {
     type Msg = LubyMsg;
     type Output = u32;
 
-    fn send(&mut self, ctx: &NodeCtx<'_>) -> Vec<Option<LubyMsg>> {
+    fn send(&mut self, ctx: &NodeCtx<'_>) -> Option<LubyMsg> {
         if let Some(c) = self.finalized {
             // Announce once, then the runner will see our output and halt us
             // next round.
             self.announced = true;
-            return vec![Some(LubyMsg::Final { color: c }); ctx.degree()];
+            return Some(LubyMsg::Final { color: c });
         }
         self.refresh_available();
         debug_assert!(
@@ -89,13 +80,10 @@ impl NodeProgram for LubyProgram {
         );
         let pick = self.available[self.rng.gen_range(0..self.available.len())];
         self.proposal = Some(pick);
-        vec![
-            Some(LubyMsg::Proposal {
-                id: ctx.id,
-                color: pick
-            });
-            ctx.degree()
-        ]
+        Some(LubyMsg::Proposal {
+            id: ctx.id,
+            color: pick,
+        })
     }
 
     fn receive(&mut self, ctx: &NodeCtx<'_>, inbox: &[Option<LubyMsg>]) {

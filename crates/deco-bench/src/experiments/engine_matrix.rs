@@ -1,6 +1,6 @@
 //! `engine-matrix` — the round-execution engine across the scenario matrix:
 //! differential correctness (engine ≡ serial runner, observationally) plus
-//! wall-clock comparison of the serial runner vs the flat-mailbox engine at
+//! wall-clock comparison of the serial runner vs the barrier engine at
 //! hardware parallelism (at one thread the engine is the serial runner).
 
 use crate::table::Table;
@@ -108,10 +108,9 @@ pub fn run(_rt: &Runtime) -> String {
     }
     out.push_str(&t.render());
     out.push_str(
-        "\nThe engine's flat CSR mailboxes + precomputed mirror table remove the\n\
-         per-round nested allocations and O(deg) delivery scans of the serial\n\
-         runner; threading splits both phases over degree-balanced node ranges\n\
-         with identical observable behavior.\n",
+        "\nBoth executors keep one broadcast slot per node; the engine splits the\n\
+         send and receive phases over degree-balanced node ranges with identical\n\
+         observable behavior.\n",
     );
 
     // Part 3: solver pipeline on the engine substrate.

@@ -1,23 +1,19 @@
 //! `graph-scale` — the million-edge substrate end to end: bulk CSR build
 //! vs per-edge insertion, binary snapshot load vs text parse, the serial
-//! and barrier engines' wall clock on a Kronecker graph, mailbox bytes
-//! per edge per round for both (dense arenas vs the old `Option`-slot
-//! layout), the solver pipeline at scale, and the process's peak RSS.
+//! and barrier engines' wall clock on a Kronecker graph, the solver
+//! pipeline at scale, and the process's peak RSS.
 //!
 //! Size is controlled by `DECO_SCALE_EDGES` (target distinct edge count,
 //! default 100 000; CI's scale-smoke leg pins it, the acceptance run
-//! raises it to 10^6). When `DECO_BENCH_JSON` is set, the headline
-//! numbers are appended to the same line-JSON file the criterion shim
-//! writes, so `bench-trend` tracks build/load times *and* bytes per edge
-//! per round across runs.
+//! raises it to 10^6). When `DECO_BENCH_JSON` is set, the build and load
+//! times are appended to the same line-JSON file the criterion shim
+//! writes, so `bench-trend` tracks them across runs.
 
 use crate::records::append_trend_records;
 use crate::table::Table;
-use deco_engine::mailbox::MailboxPlan;
 use deco_engine::protocols::FloodMax;
 use deco_engine::{Executor, GraphSpec, IdFlavor, ParallelExecutor, Scenario, SerialExecutor};
 use deco_graph::{generators, io, Builder, GraphBuilder, NodeId};
-use deco_local::PortArena;
 use deco_runtime::Runtime;
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -27,9 +23,6 @@ const DEFAULT_EDGES: usize = 100_000;
 
 /// Per-node distinct-edge target handed to the Kronecker generator.
 const EDGE_FACTOR: usize = 8;
-
-/// The message payload of the protocol the lineup runs.
-type Msg = u64;
 
 /// Reads the `DECO_SCALE_EDGES` knob.
 ///
@@ -144,11 +137,8 @@ pub fn run(rt: &Runtime) -> String {
         t_txt_r.as_secs_f64() / t_snap_r.as_secs_f64(),
     );
 
-    // Part 3: both engines on the Kronecker graph, with the mailbox
-    // arenas' exact heap bytes per edge per round next to the wall clock.
-    // The old `Option`-slot layouts are computed from the same geometry for
-    // the diet comparison.
-    out.push_str("## engine lineup: wall clock and mailbox bytes/edge/round\n\n");
+    // Part 3: both engines on the Kronecker graph.
+    out.push_str("## engine lineup: wall clock\n\n");
     let scenario = Scenario::new(
         GraphSpec::Kronecker {
             scale,
@@ -159,56 +149,26 @@ pub fn run(rt: &Runtime) -> String {
     );
     let gk = scenario.graph();
     let net = scenario.network(&gk);
-    let mk = gk.num_edges().max(1);
     let proto = FloodMax { radius: 2 };
     let (t_serial, serial) = time(|| SerialExecutor.execute(&net, &proto, 50).unwrap());
     let (t_engine, engine) = time(|| ParallelExecutor::auto().execute(&net, &proto, 50).unwrap());
     assert_eq!(serial.outputs, engine.outputs, "engine-auto");
     assert_eq!(serial.rounds, engine.rounds, "engine-auto");
     assert_eq!(serial.messages, engine.messages, "engine-auto");
-
-    let plan = MailboxPlan::new(&gk);
-    let slots = plan.num_slots();
-    let sz = std::mem::size_of::<Msg>();
-    let opt = std::mem::size_of::<Option<Msg>>();
-    let serial_bytes = PortArena::<Msg>::new(slots).heap_bytes();
-    // The barrier engine keeps one arena of the same geometry.
-    let engine_bytes = serial_bytes;
-    let mut t = Table::new([
-        "engine",
-        "time",
-        "rounds",
-        "messages",
-        "arena B",
-        "B/edge/round",
-        "old layout B",
-        "diet",
-    ]);
-    let old_serial = slots * opt;
-    let old_engine = old_serial;
-    for (label, dur, run, bytes, old) in [
-        ("serial", t_serial, &serial, serial_bytes, old_serial),
-        ("engine-auto", t_engine, &engine, engine_bytes, old_engine),
+    let mut t = Table::new(["engine", "time", "rounds", "messages"]);
+    for (label, dur, run) in [
+        ("serial", t_serial, &serial),
+        ("engine-auto", t_engine, &engine),
     ] {
         t.row([
             label.to_string(),
             format!("{dur:.1?}"),
             run.rounds.to_string(),
             run.messages.to_string(),
-            bytes.to_string(),
-            format!("{:.2}", bytes as f64 / mk as f64),
-            old.to_string(),
-            format!("{:.2}x", old as f64 / bytes as f64),
         ]);
     }
     out.push_str(&t.render());
-    let _ = writeln!(
-        out,
-        "\nArenas are allocated once and reused every round, so B/edge/round is \
-         heap bytes over m={mk} edges: payload `size_of::<Msg>()`={sz} per port \
-         plus one presence bit, vs `size_of::<Option<Msg>>()`={opt} per slot \
-         before the diet.\n",
-    );
+    out.push('\n');
 
     // Part 4: the solver pipeline at scale on the ambient engine.
     out.push_str("## solver pipeline\n\n");
@@ -245,20 +205,12 @@ pub fn run(rt: &Runtime) -> String {
     }
 
     // Machine-readable trend records (same file the criterion shim appends
-    // to): build/load wall times in nanoseconds, arena footprints in bytes.
+    // to): build/load wall times in nanoseconds.
     append_trend_records(&[
         ("graph-scale/build-push", t_push.as_nanos() as u64),
         ("graph-scale/build-bulk", t_bulk.as_nanos() as u64),
         ("graph-scale/load-text", t_txt_r.as_nanos() as u64),
         ("graph-scale/load-snapshot", t_snap_r.as_nanos() as u64),
-        (
-            "graph-scale/bytes-per-edge-round/serial",
-            (serial_bytes / mk) as u64,
-        ),
-        (
-            "graph-scale/bytes-per-edge-round/engine",
-            (engine_bytes / mk) as u64,
-        ),
     ]);
 
     out
@@ -286,7 +238,7 @@ mod tests {
         let r = super::run(&deco_runtime::Runtime::serial());
         assert!(r.contains("bulk Builder"));
         assert!(r.contains("snapshot v1"));
-        assert!(r.contains("B/edge/round"));
+        assert!(r.contains("engine lineup"));
         assert!(r.contains("solver pipeline"));
         assert!(r.contains("peak-rss-bytes"));
     }

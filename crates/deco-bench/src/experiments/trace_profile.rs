@@ -75,11 +75,9 @@ pub fn run(_rt: &Runtime) -> String {
     out.push_str("## per-phase wall time\n\n");
     out.push_str(&summary::phase_matrix(&runs));
     out.push_str(
-        "\nPhases nest (`pipeline` contains everything; `round` contains `send`,\n\
-         `deliver`, `receive`) — compare within a level. `—` marks phases an\n\
-         engine never enters. `deliver` is the serial runner's own phase; the\n\
-         barrier engine shows it too because it hands networks below its\n\
-         threading threshold to that runner.\n\n",
+        "\nPhases nest (`pipeline` contains everything; `round` contains `send`\n\
+         and `receive`) — compare within a level. `—` marks phases an engine\n\
+         never enters.\n\n",
     );
 
     out.push_str("## counters and samples\n\n");

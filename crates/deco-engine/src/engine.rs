@@ -1,14 +1,12 @@
 //! The parallel round executor.
 //!
 //! [`ParallelExecutor`] runs the same synchronous schedule as the serial
-//! reference runner — send, deliver, receive, repeat — but on a different
-//! substrate:
+//! reference runner — send, receive, repeat — but split over threads:
 //!
-//! * **Flat mailboxes.** All ports live in one CSR-packed arena
-//!   ([`MailboxPlan`]); the send phase writes each node's outgoing messages
-//!   directly into its slot range, and the receive phase reads each inbox
-//!   entry from the sender's slot through the precomputed mirror table —
-//!   O(1) per message, no per-round allocation, no adjacency scans.
+//! * **One outbox slot per node.** Every node broadcasts or stays silent,
+//!   so the send phase writes one slot per node, and the receive phase
+//!   fills inbox entry `i` from the slot of the neighbor behind port `i`.
+//!   The outbox is allocated once per execution and rewritten every round.
 //! * **Phase parallelism.** Nodes are partitioned into contiguous ranges
 //!   balanced by degree; each phase runs the ranges concurrently over
 //!   disjoint `&mut` slices (`par::fan_out`), with the join as the barrier
@@ -25,15 +23,13 @@
 //! differential suite in `tests/` runs every scenario of the matrix on both
 //! executors and demands equal outputs, round counts, and message counts.
 
-use crate::mailbox::MailboxPlan;
 use crate::par::{fan_out, split_by_weight, split_mut_by_ranges, thread_count};
-use deco_local::arena::PortArena;
 use deco_local::network::Network;
 use deco_local::runner::{NodeProgram, Protocol, RunError, RunOutcome};
 use deco_local::Executor;
 use std::ops::Range;
 
-/// Multi-threaded, flat-mailbox implementation of [`Executor`].
+/// Multi-threaded implementation of [`Executor`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ParallelExecutor {
     threads: usize,
@@ -99,11 +95,10 @@ impl Executor for ParallelExecutor {
             }
         };
         // One range is the serial schedule without the fan-out: run it on
-        // the reference runner, with no plan, arena or thread to build.
+        // the reference runner, with no thread to spawn.
         if ranges.len() <= 1 {
             return deco_local::runner::run(net, protocol, max_rounds);
         }
-        let plan = MailboxPlan::new(g);
 
         let mut programs: Vec<P::Program> =
             (0..n).map(|v| protocol.spawn(&net.ctx(v.into()))).collect();
@@ -114,10 +109,9 @@ impl Executor for ParallelExecutor {
         // share it across threads without requiring `Output: Sync`.
         let mut halted: Vec<bool> = outputs.iter().map(Option::is_some).collect();
 
-        // One arena for the whole run: every slot is rewritten or cleared in
-        // each send phase, so a receive phase only ever reads its round.
-        let mut arena: PortArena<<P::Program as NodeProgram>::Msg> =
-            PortArena::new(plan.num_slots());
+        // One outbox slot per node for the whole run: every send phase
+        // rewrites every slot, so a receive phase only ever reads its round.
+        let mut outbox: Vec<Option<<P::Program as NodeProgram>::Msg>> = vec![None; n];
         let mut rounds = 0u64;
         let mut messages = 0u64;
 
@@ -130,14 +124,13 @@ impl Executor for ParallelExecutor {
             }
             let round_span = deco_trace::round_span(deco_trace::Phase::Round, rounds);
             let send_span = deco_trace::round_span(deco_trace::Phase::Send, rounds);
-            messages += send_phase::<P>(net, &plan, &ranges, &halted, &mut programs, &mut arena);
+            messages += send_phase::<P>(net, &ranges, &halted, &mut programs, &mut outbox);
             drop(send_span);
             let receive_span = deco_trace::round_span(deco_trace::Phase::Receive, rounds);
             receive_phase::<P>(
                 net,
-                &plan,
                 &ranges,
-                &arena,
+                &outbox,
                 &mut programs,
                 &mut outputs,
                 &mut halted,
@@ -188,58 +181,34 @@ impl Executor for ParallelExecutor {
     }
 }
 
-/// Send phase: every active node writes its outgoing messages into its own
-/// arena slot range; halted nodes' ranges are cleared. Returns the number
-/// of messages sent (= delivered, since every written `Some` is read).
-///
-/// Workers get exclusive payload-slot chunks via
-/// [`PortArena::split_writers`]; presence bits go through the shared atomic
-/// bitmap, which is what keeps the per-thread slot ranges degree-aligned
-/// instead of word-aligned.
+/// Send phase: every active node writes its broadcast into its own outbox
+/// slot; halted nodes' slots are cleared. Each worker owns its range's
+/// chunk of the outbox. Returns the number of messages sent: `deg(v)` for
+/// every broadcasting node `v`.
 fn send_phase<P>(
     net: &Network<'_>,
-    plan: &MailboxPlan,
     ranges: &[Range<usize>],
     halted: &[bool],
     programs: &mut [P::Program],
-    arena: &mut PortArena<<P::Program as NodeProgram>::Msg>,
+    outbox: &mut [Option<<P::Program as NodeProgram>::Msg>],
 ) -> u64
 where
     P: Protocol,
     P::Program: Send,
     <P::Program as NodeProgram>::Msg: Send + Sync,
 {
-    let slot_ranges: Vec<Range<usize>> = ranges
-        .iter()
-        .map(|r| plan.offsets()[r.start]..plan.offsets()[r.end])
-        .collect();
     let parts = ranges
         .iter()
         .cloned()
         .zip(split_mut_by_ranges(programs, ranges))
-        .zip(arena.split_writers(&slot_ranges));
-    fan_out(parts, |((range, progs), mut writer)| {
+        .zip(split_mut_by_ranges(outbox, ranges));
+    fan_out(parts, |((range, progs), slots)| {
         let mut sent = 0u64;
-        for v in range.clone() {
+        for (i, v) in range.enumerate() {
             let ctx = net.ctx(v.into());
-            let deg = ctx.degree();
-            let base = plan.offset(v.into());
-            if halted[v] {
-                for k in base..base + deg {
-                    writer.clear(k);
-                }
-                continue;
-            }
-            let out = progs[v - range.start].send(&ctx);
-            let mut it = out.into_iter();
-            for k in base..base + deg {
-                // Matches the serial runner: missing entries become vacant,
-                // surplus entries are dropped.
-                let msg = it.next().flatten();
-                if msg.is_some() {
-                    sent += 1;
-                }
-                writer.write(k, msg);
+            slots[i] = if halted[v] { None } else { progs[i].send(&ctx) };
+            if slots[i].is_some() {
+                sent += ctx.degree() as u64;
             }
         }
         sent
@@ -248,14 +217,12 @@ where
     .sum()
 }
 
-/// Receive phase: every active node gathers its inbox by reading the
-/// mirror slot of each port from the send arena, processes it, and
-/// re-evaluates its output.
+/// Receive phase: every active node gathers its inbox from its neighbors'
+/// outbox slots in port order, processes it, and re-evaluates its output.
 fn receive_phase<P>(
     net: &Network<'_>,
-    plan: &MailboxPlan,
     ranges: &[Range<usize>],
-    arena: &PortArena<<P::Program as NodeProgram>::Msg>,
+    outbox: &[Option<<P::Program as NodeProgram>::Msg>],
     programs: &mut [P::Program],
     outputs: &mut [Option<<P::Program as NodeProgram>::Output>],
     halted: &mut [bool],
@@ -265,6 +232,7 @@ fn receive_phase<P>(
     <P::Program as NodeProgram>::Msg: Send + Sync,
     <P::Program as NodeProgram>::Output: Send,
 {
+    let g = net.graph();
     let parts = ranges
         .iter()
         .cloned()
@@ -274,17 +242,13 @@ fn receive_phase<P>(
     fan_out(parts, |(((range, progs), outs), halts)| {
         // One inbox scratch buffer per worker, reused across its nodes.
         let mut inbox: Vec<Option<<P::Program as NodeProgram>::Msg>> = Vec::new();
-        for v in range.clone() {
-            let i = v - range.start;
+        for (i, v) in range.enumerate() {
             if halts[i] {
                 continue;
             }
             let ctx = net.ctx(v.into());
             inbox.clear();
-            inbox.extend(
-                plan.slots(v.into())
-                    .map(|k| arena.clone_out(plan.mirror(k))),
-            );
+            inbox.extend(g.neighbors(v.into()).map(|u| outbox[u.index()].clone()));
             progs[i].receive(&ctx, &inbox);
             outs[i] = progs[i].output(&ctx);
             halts[i] = outs[i].is_some();

@@ -3,10 +3,9 @@
 //! The serial runner in `deco-local` defines the model; this crate makes it
 //! fast without changing a single observable bit:
 //!
-//! * [`mailbox`] — CSR-packed flat mailbox arenas with a precomputed
-//!   mirror table: O(1) message delivery, one arena reused across rounds.
 //! * [`engine`] — [`ParallelExecutor`], which runs the send and receive
-//!   phases across threads over degree-balanced node ranges, and fans out
+//!   phases across threads over degree-balanced node ranges (one outbox
+//!   slot per node, since every node broadcasts or stays silent), and fans out
 //!   callers' independent branch computations (the Theorem 4.1 solver's
 //!   parallel recursion) the same way via [`Executor::execute_branches`].
 //!   Work below [`par::MIN_PARALLEL_SLOTS`] runs on the calling thread
@@ -37,14 +36,12 @@
 
 pub mod config;
 pub mod engine;
-pub mod mailbox;
 pub mod par;
 pub mod protocols;
 pub mod scenario;
 
 pub use config::EngineEnvError;
 pub use engine::ParallelExecutor;
-pub use mailbox::MailboxPlan;
 pub use scenario::{GraphSpec, IdFlavor, Scenario, ScenarioMatrix};
 
 // Re-exported so engine users name the contract without importing

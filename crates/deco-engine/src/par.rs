@@ -35,9 +35,9 @@
 use std::ops::Range;
 
 /// Work below which the phase-parallel engine runs on one thread, whatever
-/// thread count was requested. Work is counted in arena slots (ports, `2m`)
-/// for a network and in summed branch weights for a branch batch. Below
-/// it, spawning and joining a phase's threads costs more than the phase's
+/// thread count was requested. Work is counted in ports (`2m`) for a
+/// network and in summed branch weights for a branch batch. Below it,
+/// spawning and joining a phase's threads costs more than the phase's
 /// work, and the Theorem 4.1 recursion runs dozens of such small
 /// executions per solve. Outputs are identical on either side.
 ///

@@ -34,8 +34,8 @@ impl NodeProgram for FloodMaxProgram {
     type Msg = u64;
     type Output = u64;
 
-    fn send(&mut self, ctx: &NodeCtx<'_>) -> Vec<Option<u64>> {
-        vec![Some(self.best); ctx.degree()]
+    fn send(&mut self, _ctx: &NodeCtx<'_>) -> Option<u64> {
+        Some(self.best)
     }
 
     fn receive(&mut self, _ctx: &NodeCtx<'_>, inbox: &[Option<u64>]) {
@@ -61,10 +61,11 @@ impl Protocol for FloodMax {
     }
 }
 
-/// Port-consistency check: each node announces `(its id, the port it sends
-/// through)` on every port; each node outputs a digest of everything it
-/// heard, *keyed by receiving port*. Any delivery bug — wrong mirror port,
-/// wrong neighbor, dropped or duplicated message — changes some digest.
+/// Port-consistency check: each node broadcasts its id every round; each
+/// node outputs an order-sensitive digest of `(receiving port, sender id)`
+/// over everything it heard. Any delivery bug — an inbox out of port
+/// order, a message from the wrong neighbor, a dropped or duplicated
+/// message — changes some digest.
 #[derive(Debug, Clone, Copy)]
 pub struct PortEcho {
     /// Number of echo rounds (every round re-checks delivery).
@@ -79,24 +80,26 @@ pub struct PortEchoProgram {
     limit: u64,
 }
 
+/// One step of [`PortEcho`]'s rolling digest: folds in what arrived
+/// through `port` from the node with id `sender`.
+fn echo_step(digest: u64, port: usize, sender: u64) -> u64 {
+    [port as u64 + 1, sender].into_iter().fold(digest, |d, x| {
+        (d.rotate_left(7) ^ x).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+    })
+}
+
 impl NodeProgram for PortEchoProgram {
-    type Msg = (u64, u64);
+    type Msg = u64;
     type Output = u64;
 
-    fn send(&mut self, ctx: &NodeCtx<'_>) -> Vec<Option<(u64, u64)>> {
-        (0..ctx.degree())
-            .map(|p| Some((ctx.id, p as u64)))
-            .collect()
+    fn send(&mut self, ctx: &NodeCtx<'_>) -> Option<u64> {
+        Some(ctx.id)
     }
 
-    fn receive(&mut self, _ctx: &NodeCtx<'_>, inbox: &[Option<(u64, u64)>]) {
+    fn receive(&mut self, _ctx: &NodeCtx<'_>, inbox: &[Option<u64>]) {
         for (port, slot) in inbox.iter().enumerate() {
-            let (sender, sender_port) = slot.expect("every neighbor sends every round");
-            // Order-sensitive rolling digest over (receiving port, sender,
-            // sender's port): any permutation or corruption shows up.
-            for x in [port as u64 + 1, sender, sender_port + 1] {
-                self.digest = (self.digest.rotate_left(7) ^ x).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-            }
+            let sender = slot.expect("every neighbor sends every round");
+            self.digest = echo_step(self.digest, port, sender);
         }
         self.round += 1;
     }
@@ -118,10 +121,12 @@ impl Protocol for PortEcho {
 }
 
 /// Staggered halting: node `v` halts after `(id mod spread) + 1` rounds,
-/// outputting the sum of everything it received while alive. Exercises the
-/// halted-nodes-stay-silent rule — executors that keep delivering stale
-/// slots from halted senders, or that miscount messages once some nodes
-/// stop, diverge immediately.
+/// outputting the sum of everything it received while alive. A node
+/// broadcasts only on rounds whose parity matches its id's, so inboxes mix
+/// messages and silent (`None`) ports. Exercises the halted-nodes-stay-silent
+/// rule — executors that keep delivering stale slots from silent or halted
+/// senders, or that miscount messages once some nodes stop, diverge
+/// immediately.
 #[derive(Debug, Clone, Copy)]
 pub struct StaggeredSum {
     /// Halting times are spread over `1..=spread` rounds.
@@ -140,15 +145,8 @@ impl NodeProgram for StaggeredSumProgram {
     type Msg = u64;
     type Output = u64;
 
-    fn send(&mut self, ctx: &NodeCtx<'_>) -> Vec<Option<u64>> {
-        // Odd ports stay silent on odd rounds: exercises None slots.
-        (0..ctx.degree())
-            .map(|p| {
-                (p as u64 + self.round)
-                    .is_multiple_of(2)
-                    .then_some(self.acc + p as u64)
-            })
-            .collect()
+    fn send(&mut self, ctx: &NodeCtx<'_>) -> Option<u64> {
+        (self.round % 2 == ctx.id % 2).then_some(self.acc)
     }
 
     fn receive(&mut self, _ctx: &NodeCtx<'_>, inbox: &[Option<u64>]) {
@@ -190,13 +188,43 @@ mod tests {
     }
 
     #[test]
-    fn port_echo_digest_depends_on_ports() {
+    fn port_echo_digest_follows_port_order() {
         let g = generators::star(3);
         let net = Network::new(&g, IdAssignment::Sequential);
         let out = run(&net, &PortEcho { rounds: 2 }, 10).unwrap();
-        // Leaves have one port each but different neighbors' ports: the
-        // center's ports 0..3 are distinguished, so digests differ.
-        assert_ne!(out.outputs[1], out.outputs[2]);
+        // The center (node 0) hears leaf `port + 1`, id `port + 2`, through
+        // each port, twice. An inbox filled in any other order, or from
+        // the wrong neighbors, changes its digest.
+        let senders: Vec<u64> = g.neighbors(0usize.into()).map(|u| net.id(u)).collect();
+        assert_eq!(senders, [2, 3, 4]);
+        let digest = |order: &[u64]| {
+            let round = |d| {
+                order
+                    .iter()
+                    .enumerate()
+                    .fold(d, |d, (p, &s)| echo_step(d, p, s))
+            };
+            round(round(0))
+        };
+        assert_eq!(out.outputs[0], digest(&senders));
+        assert_ne!(out.outputs[0], digest(&[4, 3, 2]));
+        // Each leaf hears the center (id 1) through its only port.
+        assert!(out.outputs[1..].iter().all(|&d| d == digest(&[1])));
+    }
+
+    #[test]
+    fn staggered_sum_mixes_silent_ports() {
+        // Path 1-2-3 with deadlines 2, 3, 1. Round 0: only id 2 (even)
+        // broadcasts, over 2 ports; id 3 halts. Round 1: only id 1 is odd
+        // and running, over 1 port; it halts. Round 2: id 2 again, over 2
+        // ports, one of them to a halted node — messages count the
+        // sender's degree.
+        let g = generators::path(3);
+        let net = Network::new(&g, IdAssignment::Sequential);
+        let out = run(&net, &StaggeredSum { spread: 3 }, 10).unwrap();
+        assert_eq!(out.rounds, 3);
+        assert_eq!(out.messages, 2 + 1 + 2);
+        assert_eq!(out.outputs, vec![1 + 2, 2 + (1 + 2), 3 + 2]);
     }
 
     #[test]

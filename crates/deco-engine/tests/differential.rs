@@ -5,7 +5,7 @@
 //! [`MIN_PARALLEL_SLOTS`].
 //!
 //! This is what makes the engine safe to substitute anywhere: parallelism
-//! and the flat-mailbox substrate are pure implementation detail.
+//! is pure implementation detail.
 
 use deco_engine::par::MIN_PARALLEL_SLOTS;
 use deco_engine::protocols::{FloodMax, PortEcho, StaggeredSum};

@@ -4,9 +4,9 @@
 //!
 //! The comparison digests the *whole* CSR — edge list (EdgeId order),
 //! per-node adjacency (neighbor + edge per port, port order), and the
-//! mirror back-port table — because engines depend on all three: EdgeId
-//! order fixes color attribution, port order fixes inbox order, and the
-//! back-port table is the O(1) delivery path.
+//! mirror back-port table. EdgeId order fixes color attribution, port
+//! order fixes inbox order, and the back-port table is part of the
+//! snapshot format, which validates it on load.
 
 use deco_engine::ScenarioMatrix;
 use deco_graph::{io, Builder, Graph};

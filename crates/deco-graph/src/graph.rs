@@ -223,8 +223,7 @@ pub(crate) fn assemble_csr(
     ];
     // Mirror-port table, built alongside the adjacency lists: slot k of
     // the CSR arena (node v, port j, edge e) stores the port index of e
-    // at the *other* endpoint. Message delivery becomes O(1) per message
-    // instead of an O(deg) scan of the receiver's adjacency list.
+    // at the *other* endpoint.
     let mut back_ports = vec![0u32; normalized.len() * 2];
     for (idx, [u, v]) in normalized.iter().enumerate() {
         let e = EdgeId::from(idx);
@@ -396,11 +395,12 @@ impl Graph {
     }
 
     /// Mirror ports of `v`, aligned with [`Graph::adjacent`]: entry `j` is
-    /// the port index of `adjacent(v)[j].edge` at the neighboring endpoint.
-    ///
-    /// Precomputed at build time; the round engines use it for O(1) message
-    /// delivery (a message leaving `v` through port `j` arrives at
+    /// the port index of `adjacent(v)[j].edge` at the neighboring endpoint
+    /// (the edge that leaves `v` through port `j` enters
     /// `adjacent(v)[j].neighbor` through port `back_ports(v)[j]`).
+    ///
+    /// Precomputed at build time. The `.snap` v1 format stores the table,
+    /// and loading a snapshot validates it against the adjacency.
     #[inline]
     pub fn back_ports(&self, v: NodeId) -> &[u32] {
         &self.back_ports[self.offsets[v.index()]..self.offsets[v.index() + 1]]
@@ -416,14 +416,6 @@ impl Graph {
     pub fn back_port(&self, v: NodeId, port: usize) -> usize {
         assert!(port < self.degree(v), "port {port} out of range for {v}");
         self.back_ports[self.offsets[v.index()] + port] as usize
-    }
-
-    /// Start of `v`'s slice in the CSR adjacency arena. Together with
-    /// [`Graph::degree`] this lets executors address the flat arena
-    /// (`offset(v) + port`) without rebuilding the prefix sums.
-    #[inline]
-    pub fn adjacency_offset(&self, v: NodeId) -> usize {
-        self.offsets[v.index()]
     }
 
     /// Looks up the edge `{u, v}` if it exists.

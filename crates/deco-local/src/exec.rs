@@ -3,7 +3,7 @@
 //!
 //! [`runner::run`] is the reference executor — a
 //! straightforward serial loop whose behavior defines the model. Faster
-//! executors (the flat-mailbox, multi-threaded engine in `deco-engine`)
+//! executors (the multi-threaded barrier engine in `deco-engine`)
 //! implement [`Executor`] and are required to be *observationally
 //! identical*: same outputs, same round count, same message count, same
 //! errors, for every protocol and network. Callers that execute protocols
@@ -124,8 +124,8 @@ mod tests {
     impl NodeProgram for EchoProgram {
         type Msg = u64;
         type Output = u64;
-        fn send(&mut self, ctx: &NodeCtx<'_>) -> Vec<Option<u64>> {
-            vec![Some(self.heard); ctx.degree()]
+        fn send(&mut self, _ctx: &NodeCtx<'_>) -> Option<u64> {
+            Some(self.heard)
         }
         fn receive(&mut self, _ctx: &NodeCtx<'_>, inbox: &[Option<u64>]) {
             self.heard += inbox.iter().flatten().sum::<u64>();

@@ -22,7 +22,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod arena;
 pub mod cost;
 pub mod exec;
 pub mod locality;
@@ -30,7 +29,6 @@ pub mod math;
 pub mod network;
 pub mod runner;
 
-pub use arena::{ArenaWriter, PortArena};
 pub use cost::{Compose, CostNode};
 pub use exec::{Executor, SerialExecutor};
 pub use network::{IdAssignment, Network, NodeCtx};

@@ -1,10 +1,10 @@
 //! The synchronous round executor for message-passing node programs.
 //!
 //! A [`NodeProgram`] is the per-node state machine of a LOCAL algorithm. In
-//! every round the runner (1) asks each non-halted node for its outgoing
-//! messages, (2) delivers them, (3) lets each node process its inbox. A node
-//! halts by returning `Some(output)` from [`NodeProgram::output`]; the
-//! execution stops when all nodes have halted.
+//! every round the runner (1) asks each non-halted node for its broadcast,
+//! (2) lets each node process the broadcasts of its neighbors, in port
+//! order. A node halts by returning `Some(output)` from
+//! [`NodeProgram::output`]; the execution stops when all nodes have halted.
 //!
 //! The runner enforces the model: a node's state can only change through
 //! `receive`, and all communication flows through ports. Locality tests
@@ -16,19 +16,16 @@ use deco_graph::NodeId;
 
 /// Per-node state machine of a synchronous message-passing algorithm.
 pub trait NodeProgram {
-    /// Message payload exchanged with neighbors.
-    ///
-    /// `Default` supplies the vacant-slot filler for the dense message
-    /// arenas every engine parks messages in ([`crate::arena::PortArena`]);
-    /// message types here are plain data (integers, small tuples, enum
-    /// variants), so the bound costs nothing.
-    type Msg: Clone + Default;
+    /// Message payload broadcast to neighbors.
+    type Msg: Clone;
     /// Final output of the node.
     type Output: Clone;
 
-    /// Messages to send this round: `out[i]` goes through port `i`.
-    /// Return an empty vector to send nothing anywhere.
-    fn send(&mut self, ctx: &NodeCtx<'_>) -> Vec<Option<Self::Msg>>;
+    /// This round's broadcast: `Some(msg)` goes out through every port,
+    /// `None` sends nothing. A protocol that needs per-neighbor content
+    /// broadcasts a payload keyed by neighbor id, and each receiver reads
+    /// its own entry.
+    fn send(&mut self, ctx: &NodeCtx<'_>) -> Option<Self::Msg>;
 
     /// Processes the messages received this round: `inbox[i]` arrived
     /// through port `i` (i.e. from the neighbor behind port `i`).
@@ -55,7 +52,8 @@ pub struct RunOutcome<O> {
     pub outputs: Vec<O>,
     /// Number of communication rounds executed (send+receive pairs).
     pub rounds: u64,
-    /// Total number of messages delivered.
+    /// Total number of messages delivered: `deg(v)` for each broadcast of
+    /// each node `v`.
     pub messages: u64,
 }
 
@@ -112,13 +110,9 @@ pub fn run<P: Protocol>(
         outputs[v] = programs[v].output(&net.ctx(NodeId::from(v)));
     }
 
-    // One flat CSR-indexed outbox arena for the whole run (slot
-    // `adjacency_offset(v) + port` holds v's message through that port),
-    // reused every round. Replaces the per-round `Vec<Vec<Option<Msg>>>`
-    // outbox and inbox pyramids: no per-round allocation, `size_of::<Msg>()`
-    // bytes per port plus one presence bit instead of an `Option` per slot.
-    let mut arena: crate::arena::PortArena<<P::Program as NodeProgram>::Msg> =
-        crate::arena::PortArena::new(g.degree_sum());
+    // One outbox slot per node, rewritten every send phase, and one inbox
+    // scratch buffer, both reused for the whole run.
+    let mut outbox: Vec<Option<<P::Program as NodeProgram>::Msg>> = vec![None; n];
     let mut inbox: Vec<Option<<P::Program as NodeProgram>::Msg>> = Vec::new();
 
     while outputs.iter().any(Option::is_none) {
@@ -129,50 +123,31 @@ pub fn run<P: Protocol>(
             });
         }
         let round_span = deco_trace::round_span(deco_trace::Phase::Round, rounds);
-        // Send phase: gather all outgoing messages first (synchronous
-        // semantics: everything sent this round is based on last round's
-        // state). Every slot of every node is rewritten or cleared each
-        // round, so no stale message survives into the next delivery.
+        // Send phase: gather every broadcast first (synchronous semantics:
+        // everything sent this round is based on last round's state).
+        // Halted nodes stay silent.
         let send_span = deco_trace::round_span(deco_trace::Phase::Send, rounds);
         for v in 0..n {
             let ctx = net.ctx(NodeId::from(v));
-            let base = g.adjacency_offset(NodeId::from(v));
-            let deg = ctx.degree();
-            if outputs[v].is_none() {
-                let mut out = programs[v].send(&ctx);
-                out.truncate(deg);
-                let sent = out.len();
-                for (port, msg) in out.into_iter().enumerate() {
-                    arena.write(base + port, msg);
-                }
-                arena.clear_range(base + sent..base + deg);
+            outbox[v] = if outputs[v].is_none() {
+                programs[v].send(&ctx)
             } else {
-                // Halted nodes stay silent.
-                arena.clear_range(base..base + deg);
+                None
+            };
+            if outbox[v].is_some() {
+                messages += ctx.degree() as u64;
             }
         }
         drop(send_span);
-        // Delivery phase: with the mirror-port table, delivery is implicit —
-        // the message u sent through port i *is* the inbox entry of the
-        // neighbor behind that port, read through `back_port` below. What
-        // remains here is the message accounting: a popcount over the
-        // presence words (every present slot is delivered, since every port
-        // has a live neighbor behind it).
-        let deliver_span = deco_trace::round_span(deco_trace::Phase::Deliver, rounds);
-        messages += arena.count_present();
-        drop(deliver_span);
-        // Receive phase: assemble each running node's inbox view from the
-        // mirror slots, one reused scratch buffer for the whole loop.
+        // Receive phase: inbox entry `i` is the outbox slot of the neighbor
+        // behind port `i`.
         let receive_span = deco_trace::round_span(deco_trace::Phase::Receive, rounds);
         for v in 0..n {
             if outputs[v].is_none() {
                 let v_id = NodeId::from(v);
                 let ctx = net.ctx(v_id);
                 inbox.clear();
-                for (adj, back) in g.adjacent(v_id).iter().zip(g.back_ports(v_id)) {
-                    let mirror = g.adjacency_offset(adj.neighbor) + *back as usize;
-                    inbox.push(arena.clone_out(mirror));
-                }
+                inbox.extend(g.neighbors(v_id).map(|u| outbox[u.index()].clone()));
                 programs[v].receive(&ctx, &inbox);
                 outputs[v] = programs[v].output(&ctx);
             }
@@ -218,8 +193,8 @@ mod tests {
         type Msg = u64;
         type Output = u64;
 
-        fn send(&mut self, ctx: &NodeCtx<'_>) -> Vec<Option<u64>> {
-            vec![Some(self.best); ctx.degree()]
+        fn send(&mut self, _ctx: &NodeCtx<'_>) -> Option<u64> {
+            Some(self.best)
         }
 
         fn receive(&mut self, _ctx: &NodeCtx<'_>, inbox: &[Option<u64>]) {

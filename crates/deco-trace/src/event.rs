@@ -13,18 +13,15 @@ use crate::json::{self, JsonValue};
 
 /// A span-style phase of an execution: what a wall-time measurement is
 /// attributed to. One engine run nests phases (a `Round` contains `Send` /
-/// `Deliver` / `Receive`; a `Pipeline` contains everything), so phase
+/// `Receive`; a `Pipeline` contains everything), so phase
 /// totals overlap by design — compare within a level, not across levels.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Phase {
     /// One whole synchronous round (serial runner and barrier engine).
     Round,
-    /// The send half of a round: gathering every node's outgoing messages.
+    /// The send half of a round: gathering every node's broadcast and
+    /// counting the messages.
     Send,
-    /// The delivery half of a round (serial runner only, which the barrier
-    /// engine hands sub-threshold networks to; its threaded path delivers
-    /// implicitly through mirror-slot reads during `Receive`).
-    Deliver,
     /// The receive half of a round: processing inboxes and re-evaluating
     /// outputs.
     Receive,
@@ -40,11 +37,10 @@ pub enum Phase {
 
 impl Phase {
     /// Every phase, in canonical rendering order.
-    pub const ALL: [Phase; 7] = [
+    pub const ALL: [Phase; 6] = [
         Phase::Pipeline,
         Phase::Round,
         Phase::Send,
-        Phase::Deliver,
         Phase::Receive,
         Phase::Sweep,
         Phase::SolverBranch,
@@ -60,7 +56,6 @@ impl Phase {
         match self {
             Phase::Round => "round",
             Phase::Send => "send",
-            Phase::Deliver => "deliver",
             Phase::Receive => "receive",
             Phase::Sweep => "sweep",
             Phase::SolverBranch => "solver-branch",

@@ -378,13 +378,17 @@ impl Parser<'_> {
                     }
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so byte
-                    // boundaries are valid).
+                    // Copy the run of unescaped bytes up to the next quote
+                    // or backslash as one slice. Both are ASCII, so the run
+                    // of the `&str` input ends on a character boundary.
                     let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| "invalid UTF-8")?;
-                    let ch = s.chars().next().expect("non-empty");
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
+                    let len = rest
+                        .iter()
+                        .position(|b| matches!(b, b'"' | b'\\'))
+                        .unwrap_or(rest.len());
+                    let run = std::str::from_utf8(&rest[..len]).map_err(|_| "invalid UTF-8")?;
+                    out.push_str(run);
+                    self.pos += len;
                 }
             }
         }
@@ -429,6 +433,27 @@ mod tests {
     fn decodes_escapes() {
         let fields = parse_object("{\"k\":\"a\\n\\t\\\"b\\\\\\u0041\"}").unwrap();
         assert_eq!(fields[0].1, JsonValue::String("a\n\t\"b\\A".into()));
+    }
+
+    #[test]
+    fn multibyte_text_round_trips_next_to_escapes() {
+        for s in [
+            "é",
+            "é\n",
+            "\"é",
+            "ü\\\"€",
+            "日本\t語",
+            "𝄞a\u{0001}𝄞",
+            "\\𝄞\\",
+        ] {
+            let mut w = ObjectWriter::new();
+            w.string("s", s);
+            let line = w.finish();
+            let fields = parse_object(&line).unwrap();
+            assert_eq!(fields[0].1, JsonValue::String(s.into()), "{line}");
+        }
+        let fields = parse_object("{\"k\":\"é\\u0041€\"}").unwrap();
+        assert_eq!(fields[0].1, JsonValue::String("éA€".into()));
     }
 
     #[test]

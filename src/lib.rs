@@ -7,8 +7,8 @@
 //!   and [`MutableGraph`] for edge churn with CSR snapshots on demand.
 //! * [`local`] — the LOCAL model: networks, the serial reference runner,
 //!   the [`local::Executor`] contract.
-//! * [`engine`] — the high-throughput round-execution engine (flat
-//!   mailboxes, deterministic multi-threading, scenario matrix).
+//! * [`engine`] — the multi-threaded round-execution engine (one
+//!   broadcast slot per node, deterministic threading, scenario matrix).
 //! * [`runtime`] — the unified [`Runtime`] facade: one handle over both
 //!   engines ([`Engine`] is serial / barrier behind one `match`), built
 //!   explicitly via [`RuntimeBuilder`] or from the `DECO_ENGINE_THREADS`
