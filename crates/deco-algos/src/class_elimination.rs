@@ -19,18 +19,16 @@
 //! * [`list_color_by_classes`] — a centralized sweep producing *identical*
 //!   output with the same round charge (used at scale).
 
-use deco_graph::Graph;
 use deco_local::{Executor, Network, NodeCtx, NodeProgram, Protocol, RunError};
 use deco_runtime::Runtime;
 use std::collections::HashSet;
 
-/// Validates the precondition `|lists[v]| ≥ deg(v) + 1` for all nodes.
+/// Validates the precondition `|lists[v]| ≥ deg(v) + 1` for all nodes of
+/// the conflict network `h`.
 ///
 /// Returns the index of the first violating node, if any.
-pub fn find_list_too_small(h: &Graph, lists: &[Vec<u32>]) -> Option<usize> {
-    h.nodes()
-        .find(|&v| lists[v.index()].len() <= h.degree(v))
-        .map(|v| v.index())
+pub fn find_list_too_small(h: &Network<'_>, lists: &[Vec<u32>]) -> Option<usize> {
+    (0..h.num_nodes()).find(|&v| lists[v].len() <= h.degree(v.into()))
 }
 
 /// Centralized sweep equivalent of [`ByClassesProtocol`].
@@ -45,7 +43,7 @@ pub fn find_list_too_small(h: &Graph, lists: &[Vec<u32>]) -> Option<usize> {
 /// Panics if some list is not larger than the node's degree, or if `initial`
 /// is not a proper coloring with values `< num_classes`.
 pub fn list_color_by_classes(
-    h: &Graph,
+    h: &Network<'_>,
     lists: &[Vec<u32>],
     initial: &[u32],
     num_classes: u32,
@@ -68,9 +66,11 @@ pub fn list_color_by_classes(
     order.sort_by_key(|&v| initial[v]);
 
     let mut colors: Vec<Option<u32>> = vec![None; h.num_nodes()];
+    let mut forbidden: HashSet<u32> = HashSet::new();
     for &v in &order {
         let vid = deco_graph::NodeId::from(v);
-        let forbidden: HashSet<u32> = h.neighbors(vid).filter_map(|w| colors[w.index()]).collect();
+        forbidden.clear();
+        forbidden.extend(h.neighbors(vid).filter_map(|w| colors[w.index()]));
         debug_assert!(
             h.neighbors(vid).all(|w| initial[w.index()] != initial[v]),
             "initial coloring must be proper"
@@ -117,12 +117,12 @@ impl NodeProgram for ByClassesProgram {
     type Msg = u32;
     type Output = u32;
 
-    fn send(&mut self, _ctx: &NodeCtx<'_>) -> Option<u32> {
+    fn send(&mut self, _ctx: &NodeCtx) -> Option<u32> {
         // Broadcast the finalized color; nothing before finalizing.
         self.chosen
     }
 
-    fn receive(&mut self, _ctx: &NodeCtx<'_>, inbox: &[Option<u32>]) {
+    fn receive(&mut self, _ctx: &NodeCtx, inbox: &[Option<u32>]) {
         for c in inbox.iter().flatten() {
             self.forbidden.insert(*c);
         }
@@ -139,7 +139,7 @@ impl NodeProgram for ByClassesProgram {
         self.round += 1;
     }
 
-    fn output(&self, _ctx: &NodeCtx<'_>) -> Option<u32> {
+    fn output(&self, _ctx: &NodeCtx) -> Option<u32> {
         // All nodes run the full schedule: num_classes rounds to finalize
         // every class, plus one round so the last class's colors are
         // broadcast (keeps schedules uniform; the extra round carries the
@@ -151,7 +151,7 @@ impl NodeProgram for ByClassesProgram {
 impl Protocol for ByClassesProtocol {
     type Program = ByClassesProgram;
 
-    fn spawn(&self, ctx: &NodeCtx<'_>) -> ByClassesProgram {
+    fn spawn(&self, ctx: &NodeCtx) -> ByClassesProgram {
         ByClassesProgram {
             list: self.lists[ctx.node.index()].clone(),
             class: self.initial[ctx.node.index()],
@@ -181,7 +181,7 @@ pub fn list_color_by_classes_mp(
     rt: &Runtime,
 ) -> Result<(Vec<u32>, u64), RunError> {
     assert!(
-        find_list_too_small(net.graph(), &lists).is_none(),
+        find_list_too_small(net, &lists).is_none(),
         "every list must exceed the node's degree"
     );
     let protocol = ByClassesProtocol {
@@ -196,10 +196,14 @@ pub fn list_color_by_classes_mp(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use deco_graph::{coloring, generators};
+    use deco_graph::{coloring, generators, Graph};
     use deco_local::IdAssignment;
     use rand::prelude::*;
     use rand::rngs::StdRng;
+
+    fn net(g: &Graph) -> Network<'_> {
+        Network::new(g, IdAssignment::Sequential)
+    }
 
     /// Random (deg+1)-lists over palette `c_max`, plus a proper initial
     /// coloring (greedy by index — fine for tests).
@@ -234,7 +238,7 @@ mod tests {
             (generators::complete(7), 13),
         ] {
             let (lists, initial, k) = random_instance(&g, 64, seed);
-            let (colors, rounds) = list_color_by_classes(&g, &lists, &initial, k);
+            let (colors, rounds) = list_color_by_classes(&net(&g), &lists, &initial, k);
             coloring::check_vertex_coloring(&g, &colors).expect("proper");
             for v in g.nodes() {
                 assert!(lists[v.index()].contains(&colors[v.index()]));
@@ -268,8 +272,8 @@ mod tests {
                 .map(|v| full[v.index()][..=g.degree(v)].to_vec())
                 .collect();
             assert_eq!(
-                list_color_by_classes(&g, &full, &initial, k),
-                list_color_by_classes(&g, &cut, &initial, k),
+                list_color_by_classes(&net(&g), &full, &initial, k),
+                list_color_by_classes(&net(&g), &cut, &initial, k),
                 "seed {seed}"
             );
         }
@@ -279,7 +283,7 @@ mod tests {
     fn message_passing_matches_centralized() {
         let g = generators::random_regular(30, 4, 7);
         let (lists, initial, k) = random_instance(&g, 32, 21);
-        let (fast, _) = list_color_by_classes(&g, &lists, &initial, k);
+        let (fast, _) = list_color_by_classes(&net(&g), &lists, &initial, k);
         let net = Network::new(&g, IdAssignment::Shuffled(3));
         let (mp, rounds) =
             list_color_by_classes_mp(&net, lists.clone(), initial.clone(), k, &Runtime::serial())
@@ -294,7 +298,7 @@ mod tests {
         let g = generators::complete(5);
         let lists: Vec<Vec<u32>> = g.nodes().map(|_| (0..5).collect()).collect();
         let initial: Vec<u32> = (0..5).collect();
-        let (colors, _) = list_color_by_classes(&g, &lists, &initial, 5);
+        let (colors, _) = list_color_by_classes(&net(&g), &lists, &initial, 5);
         coloring::check_vertex_coloring(&g, &colors).expect("proper");
     }
 
@@ -304,14 +308,14 @@ mod tests {
         let g = generators::complete(4);
         let lists: Vec<Vec<u32>> = g.nodes().map(|_| vec![0, 1]).collect();
         let initial: Vec<u32> = (0..4).collect();
-        let _ = list_color_by_classes(&g, &lists, &initial, 4);
+        let _ = list_color_by_classes(&net(&g), &lists, &initial, 4);
     }
 
     #[test]
     fn empty_graph_zero_classes() {
         let g = Graph::empty(3);
         let lists: Vec<Vec<u32>> = vec![vec![0]; 3];
-        let (colors, rounds) = list_color_by_classes(&g, &lists, &[0, 0, 0], 1);
+        let (colors, rounds) = list_color_by_classes(&net(&g), &lists, &[0, 0, 0], 1);
         assert_eq!(colors, vec![0, 0, 0]);
         assert_eq!(rounds, 1);
     }

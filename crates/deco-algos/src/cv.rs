@@ -54,23 +54,38 @@ enum Phase {
 
 /// Cole–Vishkin 3-coloring protocol for a rooted forest.
 ///
-/// `parent[v]` is the parent of `v` (`None` for roots). The forest must be
-/// consistent with the network graph: every parent is a neighbor.
+/// Each node knows the port its parent sits behind (`None` for roots).
 #[derive(Debug, Clone)]
 pub struct CvForestColoring {
-    /// Parent of each node (`None` = root).
-    pub parent: Vec<Option<NodeId>>,
+    /// Port of each node's parent (`None` = root).
+    parent_port: Vec<Option<usize>>,
     steps: u32,
 }
 
 impl CvForestColoring {
-    /// Builds the protocol; `id_bits` is the bit-length of the initial
+    /// Builds the protocol on `net`, where `parent[v]` is the parent of `v`
+    /// (`None` for roots); `id_bits` is the bit-length of the initial
     /// colors (the IDs).
-    pub fn new(parent: Vec<Option<NodeId>>, id_bits: u32) -> CvForestColoring {
+    ///
+    /// # Panics
+    ///
+    /// Panics if some parent is not a neighbor of its child in `net`.
+    pub fn new(net: &Network<'_>, parent: &[Option<NodeId>], id_bits: u32) -> CvForestColoring {
+        let parent_port = parent
+            .iter()
+            .enumerate()
+            .map(|(v, p)| {
+                p.map(|p| {
+                    net.neighbors(v.into())
+                        .position(|u| u == p)
+                        .expect("parent must be a neighbor")
+                })
+            })
+            .collect();
         // cv_steps reaches 3-bit colors (< 8); one extra step lands in the
         // true CV fixpoint {0..5}, which the three elimination phases need.
         CvForestColoring {
-            parent,
+            parent_port,
             steps: cv_steps(id_bits.max(4)) + 1,
         }
     }
@@ -95,11 +110,11 @@ impl NodeProgram for CvForestProgram {
     type Msg = Msg;
     type Output = u8;
 
-    fn send(&mut self, _ctx: &NodeCtx<'_>) -> Option<Msg> {
+    fn send(&mut self, _ctx: &NodeCtx) -> Option<Msg> {
         Some(self.color)
     }
 
-    fn receive(&mut self, _ctx: &NodeCtx<'_>, inbox: &[Option<Msg>]) {
+    fn receive(&mut self, _ctx: &NodeCtx, inbox: &[Option<Msg>]) {
         let parent_color = self
             .parent_port
             .map(|p| inbox[p].expect("parent always sends"));
@@ -169,7 +184,7 @@ impl NodeProgram for CvForestProgram {
         }
     }
 
-    fn output(&self, _ctx: &NodeCtx<'_>) -> Option<u8> {
+    fn output(&self, _ctx: &NodeCtx) -> Option<u8> {
         matches!(self.phase, Phase::Done).then(|| {
             debug_assert!(self.color < 3);
             self.color as u8
@@ -180,17 +195,10 @@ impl NodeProgram for CvForestProgram {
 impl Protocol for CvForestColoring {
     type Program = CvForestProgram;
 
-    fn spawn(&self, ctx: &NodeCtx<'_>) -> CvForestProgram {
-        let parent = self.parent[ctx.node.index()];
-        let parent_port = parent.map(|p| {
-            ctx.ports
-                .iter()
-                .position(|a| a.neighbor == p)
-                .expect("parent must be a neighbor")
-        });
+    fn spawn(&self, ctx: &NodeCtx) -> CvForestProgram {
         CvForestProgram {
             color: ctx.id,
-            parent_port,
+            parent_port: self.parent_port[ctx.node.index()],
             phase: Phase::Reduce(self.steps.max(1)),
             shifted: false,
         }
@@ -226,7 +234,7 @@ pub fn three_color_rooted_forest(
     rt: &Runtime,
 ) -> Result<ForestColoring, RunError> {
     let id_bits = 64 - net.max_id().leading_zeros();
-    let protocol = CvForestColoring::new(parent, id_bits);
+    let protocol = CvForestColoring::new(net, &parent, id_bits);
     let budget = protocol.rounds();
     let outcome = rt.execute(net, &protocol, budget + 2)?;
     Ok(ForestColoring {

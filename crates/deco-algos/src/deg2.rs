@@ -46,17 +46,16 @@ impl NodeProgram for ThreeColorDeg2Program {
     type Msg = u64;
     type Output = u8;
 
-    fn send(&mut self, _ctx: &NodeCtx<'_>) -> Option<u64> {
+    fn send(&mut self, _ctx: &NodeCtx) -> Option<u64> {
         Some(self.color)
     }
 
-    fn receive(&mut self, ctx: &NodeCtx<'_>, inbox: &[Option<u64>]) {
+    fn receive(&mut self, ctx: &NodeCtx, inbox: &[Option<u64>]) {
         let linial_rounds = self.schedule.rounds();
-        let neighbor_colors: Vec<u64> = inbox.iter().flatten().copied().collect();
-        debug_assert!(ctx.degree() <= 2, "ThreeColorDeg2 requires max degree 2");
+        debug_assert!(ctx.degree <= 2, "ThreeColorDeg2 requires max degree 2");
         if self.round < linial_rounds {
             let step = self.schedule.steps[self.round as usize];
-            self.color = linial::reduce_color(self.color, &neighbor_colors, step);
+            self.color = linial::reduce_color(self.color, inbox, step);
         } else {
             // Elimination phase: round `linial_rounds + k` (k ≥ 0) removes
             // color class `palette − 1 − k`.
@@ -64,7 +63,7 @@ impl NodeProgram for ThreeColorDeg2Program {
             let target = self.schedule.final_palette - 1 - k;
             if self.color == target && target >= 3 {
                 let free = (0u64..3)
-                    .find(|c| !neighbor_colors.contains(c))
+                    .find(|&c| !inbox.contains(&Some(c)))
                     .expect("≤ 2 neighbors leave a free color in {0,1,2}");
                 self.color = free;
             }
@@ -72,7 +71,7 @@ impl NodeProgram for ThreeColorDeg2Program {
         self.round += 1;
     }
 
-    fn output(&self, _ctx: &NodeCtx<'_>) -> Option<u8> {
+    fn output(&self, _ctx: &NodeCtx) -> Option<u8> {
         let total = self.schedule.rounds() + self.schedule.final_palette.saturating_sub(3);
         (self.round >= total).then(|| {
             debug_assert!(self.color < 3, "color {} not reduced to 3", self.color);
@@ -84,7 +83,7 @@ impl NodeProgram for ThreeColorDeg2Program {
 impl Protocol for ThreeColorDeg2 {
     type Program = ThreeColorDeg2Program;
 
-    fn spawn(&self, ctx: &NodeCtx<'_>) -> ThreeColorDeg2Program {
+    fn spawn(&self, ctx: &NodeCtx) -> ThreeColorDeg2Program {
         ThreeColorDeg2Program {
             color: self.initial[ctx.node.index()],
             round: 0,
@@ -121,10 +120,7 @@ pub fn three_color_max_deg2(
     m0: u64,
     rt: &Runtime,
 ) -> Result<ThreeColoring, RunError> {
-    assert!(
-        net.graph().max_degree() <= 2,
-        "graph must have max degree <= 2"
-    );
+    assert!(net.max_degree() <= 2, "graph must have max degree <= 2");
     let protocol = ThreeColorDeg2::new(initial, m0);
     let budget = protocol.rounds();
     let outcome = rt.execute(net, &protocol, budget + 1)?;

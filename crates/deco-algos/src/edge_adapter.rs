@@ -2,13 +2,14 @@
 //!
 //! In the LOCAL model, one round of an algorithm on the line graph `L(G)` is
 //! simulated by a constant number of rounds on `G`: two adjacent edges share
-//! a node, and that node relays. The adapters here materialize `L(G)`,
-//! derive unique *edge* identifiers from the endpoints' node identifiers
+//! a node, and that node relays. The adapters here run on
+//! [`Network::line`], which reads `L(G)` off `G`'s arrays without building
+//! it, derive unique *edge* identifiers from the endpoints' node identifiers
 //! (every node can compute them locally), and map results back to edges.
 
 use crate::linial;
 use deco_graph::coloring::EdgeColoring;
-use deco_graph::{Graph, LineGraph};
+use deco_graph::Graph;
 use deco_local::{Network, RunError};
 use deco_runtime::Runtime;
 
@@ -22,11 +23,10 @@ use deco_runtime::Runtime;
 pub fn edge_ids_by_pairing(g: &Graph, node_ids: &[u64]) -> Vec<u64> {
     assert_eq!(node_ids.len(), g.num_nodes(), "one ID per node");
     let bound = node_ids.iter().copied().max().unwrap_or(1);
-    let base = bound
+    bound
         .checked_add(1)
-        .and_then(|b| b.checked_mul(bound + 1))
+        .and_then(|b| b.checked_mul(b))
         .expect("(B+1)^2 must fit in u64; use denser node IDs");
-    let _ = base;
     g.edges()
         .map(|e| {
             let [u, v] = g.endpoints(e);
@@ -57,10 +57,10 @@ pub struct LinialEdgeResult {
 }
 
 /// Computes an `O(Δ̄²)`-edge coloring of `g` in `O(log* n)` line-graph
-/// rounds by running Linial's protocol on `L(G)` with pairing-derived edge
-/// IDs, on whatever engine `rt` carries. This is the "initial edge
-/// coloring with X colors" every Section-4 construction of the paper
-/// starts from.
+/// rounds by running Linial's protocol on the line view of `g` with
+/// pairing-derived edge IDs, on whatever engine `rt` carries. This is the
+/// "initial edge coloring with X colors" every Section-4 construction of
+/// the paper starts from.
 ///
 /// # Errors
 ///
@@ -70,7 +70,6 @@ pub fn linial_edge_coloring(
     node_ids: &[u64],
     rt: &Runtime,
 ) -> Result<LinialEdgeResult, RunError> {
-    let lg = LineGraph::of(g);
     let eids = edge_ids_by_pairing(g, node_ids);
     if g.num_edges() == 0 {
         return Ok(LinialEdgeResult {
@@ -80,7 +79,7 @@ pub fn linial_edge_coloring(
             messages: 0,
         });
     }
-    let net = Network::with_ids(lg.graph(), eids.clone());
+    let net = Network::line_with_ids(g, eids.clone());
     let bound = node_ids.iter().copied().max().unwrap_or(1);
     let m0 = (bound + 1) * (bound + 1);
     let res = linial::color_from_initial(&net, eids, m0, rt)?;

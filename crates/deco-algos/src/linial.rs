@@ -22,6 +22,7 @@ use crate::palette_u64_to_u32;
 use deco_local::math::next_prime;
 use deco_local::{Executor, Network, NodeCtx, NodeProgram, Protocol, RunError};
 use deco_runtime::Runtime;
+use std::sync::Arc;
 
 /// One round of the reduction schedule: reduce from `m` colors to `q²`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -40,8 +41,9 @@ pub struct ReductionStep {
 /// maximum degree `Δ` down to the fixpoint palette.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LinialSchedule {
-    /// The reduction steps, in execution order.
-    pub steps: Vec<ReductionStep>,
+    /// The reduction steps, in execution order, shared by every node's
+    /// program.
+    pub steps: Arc<[ReductionStep]>,
     /// Palette size after running all steps.
     pub final_palette: u64,
 }
@@ -101,7 +103,7 @@ pub fn schedule(m0: u64, delta: u64) -> LinialSchedule {
         steps.push(step);
     }
     LinialSchedule {
-        steps,
+        steps: steps.into(),
         final_palette: m.min(m0.max(2)),
     }
 }
@@ -128,8 +130,10 @@ impl LinialProtocol {
     ///
     /// # Panics
     ///
-    /// Panics if `initial` is empty of colors... never: accepts any values;
-    /// callers must ensure the initial coloring is proper and `< m0`.
+    /// `initial` must be a proper coloring with every color below `m0`.
+    /// This is not checked here; a node whose color breaks it panics in
+    /// [`reduce_color`] when no conflict-free evaluation point exists, or
+    /// trips a debug assertion.
     pub fn new(initial: Vec<u64>, m0: u64, delta: u64) -> LinialProtocol {
         LinialProtocol {
             initial,
@@ -166,22 +170,24 @@ fn poly_eval(color: u64, q: u64, d: u64, x: u64) -> u64 {
 }
 
 /// One Linial reduction step for a single node: given its current color and
-/// its (distinct) neighbors' colors, returns the new color in `[0, q²)`.
+/// the inbox of its neighbors' colors (a silent port, `None`, constrains
+/// nothing), returns the new color in `[0, q²)`.
 ///
 /// # Panics
 ///
 /// Panics if no conflict-free evaluation point exists, which cannot happen
 /// when `step.q > Δ·step.d` and the input coloring is proper.
-pub fn reduce_color(color: u64, neighbor_colors: &[u64], step: ReductionStep) -> u64 {
+pub fn reduce_color(color: u64, inbox: &[Option<u64>], step: ReductionStep) -> u64 {
     let (q, d) = (step.q, step.d);
     debug_assert!(
-        neighbor_colors.iter().all(|&nc| nc != color),
+        inbox.iter().flatten().all(|&nc| nc != color),
         "input coloring for Linial step must be proper"
     );
     for x in 0..q {
         let own = poly_eval(color, q, d, x);
-        let clash = neighbor_colors
+        let clash = inbox
             .iter()
+            .flatten()
             .any(|&nc| nc != color && poly_eval(nc, q, d, x) == own);
         if !clash {
             let new_color = x * q + own;
@@ -196,23 +202,21 @@ impl NodeProgram for LinialProgram {
     type Msg = u64;
     type Output = u64;
 
-    fn send(&mut self, _ctx: &NodeCtx<'_>) -> Option<u64> {
+    fn send(&mut self, _ctx: &NodeCtx) -> Option<u64> {
         Some(self.color)
     }
 
-    fn receive(&mut self, ctx: &NodeCtx<'_>, inbox: &[Option<u64>]) {
+    fn receive(&mut self, _ctx: &NodeCtx, inbox: &[Option<u64>]) {
         let step = self.schedule.steps[self.step_idx];
-        let neighbor_colors: Vec<u64> = inbox.iter().flatten().copied().collect();
-        debug_assert_eq!(
-            neighbor_colors.len(),
-            ctx.degree(),
+        debug_assert!(
+            inbox.iter().all(Option::is_some),
             "all neighbors must report"
         );
-        self.color = reduce_color(self.color, &neighbor_colors, step);
+        self.color = reduce_color(self.color, inbox, step);
         self.step_idx += 1;
     }
 
-    fn output(&self, _ctx: &NodeCtx<'_>) -> Option<u64> {
+    fn output(&self, _ctx: &NodeCtx) -> Option<u64> {
         (self.step_idx >= self.schedule.steps.len()).then_some(self.color)
     }
 }
@@ -220,7 +224,7 @@ impl NodeProgram for LinialProgram {
 impl Protocol for LinialProtocol {
     type Program = LinialProgram;
 
-    fn spawn(&self, ctx: &NodeCtx<'_>) -> LinialProgram {
+    fn spawn(&self, ctx: &NodeCtx) -> LinialProgram {
         LinialProgram {
             color: self.initial[ctx.node.index()],
             step_idx: 0,
@@ -276,7 +280,7 @@ pub fn color_from_initial(
         initial.iter().all(|&c| c < m0),
         "initial colors must be < m0"
     );
-    let delta = net.graph().max_degree() as u64;
+    let delta = net.max_degree() as u64;
     let protocol = LinialProtocol::new(initial, m0, delta);
     let sched_rounds = protocol.schedule.rounds();
     let palette = protocol.schedule.final_palette;
@@ -324,7 +328,7 @@ mod tests {
     fn schedule_steps_are_valid() {
         for (m0, delta) in [(100u64, 3u64), (1_000_000, 2), (50_000, 126), (10, 4)] {
             let s = schedule(m0, delta);
-            for st in &s.steps {
+            for st in s.steps.iter() {
                 assert!(st.q > delta * st.d, "q > Δd violated: {st:?}");
                 let pow = (0..=st.d).try_fold(1u128, |a, _| a.checked_mul(st.q as u128));
                 assert!(pow.is_none() || pow.unwrap() >= st.m_before as u128);

@@ -9,6 +9,7 @@
 //! (for edge coloring: the line graph), with per-node RNGs seeded
 //! deterministically from `(seed, id)` so simulations are reproducible.
 
+use deco_graph::NodeId;
 use deco_local::{Executor, Network, NodeCtx, NodeProgram, Protocol, RunError};
 use deco_runtime::Runtime;
 use rand::prelude::*;
@@ -66,7 +67,7 @@ impl NodeProgram for LubyProgram {
     type Msg = LubyMsg;
     type Output = u32;
 
-    fn send(&mut self, ctx: &NodeCtx<'_>) -> Option<LubyMsg> {
+    fn send(&mut self, ctx: &NodeCtx) -> Option<LubyMsg> {
         if let Some(c) = self.finalized {
             // Announce once, then the runner will see our output and halt us
             // next round.
@@ -86,7 +87,7 @@ impl NodeProgram for LubyProgram {
         })
     }
 
-    fn receive(&mut self, ctx: &NodeCtx<'_>, inbox: &[Option<LubyMsg>]) {
+    fn receive(&mut self, ctx: &NodeCtx, inbox: &[Option<LubyMsg>]) {
         if self.finalized.is_some() {
             return;
         }
@@ -110,7 +111,7 @@ impl NodeProgram for LubyProgram {
         }
     }
 
-    fn output(&self, _ctx: &NodeCtx<'_>) -> Option<u32> {
+    fn output(&self, _ctx: &NodeCtx) -> Option<u32> {
         // Halt only after the final color has been announced to neighbors.
         self.finalized.filter(|_| self.announced)
     }
@@ -119,7 +120,7 @@ impl NodeProgram for LubyProgram {
 impl Protocol for LubyListColoring {
     type Program = LubyProgram;
 
-    fn spawn(&self, ctx: &NodeCtx<'_>) -> LubyProgram {
+    fn spawn(&self, ctx: &NodeCtx) -> LubyProgram {
         let mut hasher_seed = self.seed ^ ctx.id.wrapping_mul(0x9E37_79B9_7F4A_7C15);
         if hasher_seed == 0 {
             hasher_seed = 1;
@@ -164,9 +165,9 @@ pub fn luby_list_coloring(
     seed: u64,
     rt: &Runtime,
 ) -> Result<LubyResult, RunError> {
-    for v in net.graph().nodes() {
+    for v in (0..net.num_nodes()).map(NodeId::from) {
         assert!(
-            lists[v.index()].len() > net.graph().degree(v),
+            lists[v.index()].len() > net.degree(v),
             "list of node {v} must exceed its degree"
         );
     }

@@ -32,12 +32,11 @@ fn bench_luby(c: &mut Criterion) {
     let mut group = c.benchmark_group("luby-edge-coloring");
     group.sample_size(10);
     let g = generators::random_regular(512, 8, 17);
-    let lg = LineGraph::of(&g);
     let bound = (2 * g.max_degree() - 1) as u32;
-    let lists: Vec<Vec<u32>> = lg.graph().nodes().map(|_| (0..bound).collect()).collect();
+    let lists: Vec<Vec<u32>> = g.edges().map(|_| (0..bound).collect()).collect();
     group.bench_function("regular(512,8)", |b| {
         b.iter(|| {
-            let net = Network::new(lg.graph(), IdAssignment::Shuffled(3));
+            let net = Network::line(&g, IdAssignment::Shuffled(3));
             luby::luby_list_coloring(&net, lists.clone(), 7, &Runtime::serial())
                 .expect("terminates")
                 .rounds
@@ -48,16 +47,15 @@ fn bench_luby(c: &mut Criterion) {
 
 fn bench_class_elimination(c: &mut Criterion) {
     let g = generators::random_regular(512, 8, 19);
-    let lg = LineGraph::of(&g);
+    let net = Network::line(&g, IdAssignment::Sequential);
     let x = edge_adapter::linial_edge_coloring(&g, &ids(g.num_nodes()), &Runtime::serial())
         .expect("terminates");
     let initial: Vec<u32> = g.edges().map(|e| x.coloring.get(e).unwrap()).collect();
     let bound = (2 * g.max_degree() - 1) as u32;
-    let lists: Vec<Vec<u32>> = lg.graph().nodes().map(|_| (0..bound).collect()).collect();
+    let lists: Vec<Vec<u32>> = g.edges().map(|_| (0..bound).collect()).collect();
     c.bench_function("class-elimination regular(512,8)", |b| {
         b.iter(|| {
-            class_elimination::list_color_by_classes(lg.graph(), &lists, &initial, x.palette as u32)
-                .1
+            class_elimination::list_color_by_classes(&net, &lists, &initial, x.palette as u32).1
         });
     });
 }

@@ -63,7 +63,7 @@ use crate::slack;
 use crate::space;
 use deco_algos::{class_elimination, edge_adapter, linial};
 use deco_graph::coloring::{Color, EdgeColoring};
-use deco_graph::{EdgeId, Graph, LineGraph};
+use deco_graph::{EdgeId, Graph};
 use deco_local::math::harmonic;
 use deco_local::{CostNode, Executor, Network};
 use deco_runtime::Runtime;
@@ -608,10 +608,9 @@ impl Solver {
         if g.num_edges() == 0 {
             return (Vec::new(), CostNode::free("empty base case"), 0);
         }
-        let lg = LineGraph::of(g);
         // Linial on the line graph from the X-coloring (IDs are unused by
         // the protocol; the network just needs some for bookkeeping).
-        let net = Network::new(lg.graph(), deco_local::IdAssignment::Sequential);
+        let net = Network::line(g, deco_local::IdAssignment::Sequential);
         let initial: Vec<u64> = x_coloring.iter().map(|&c| u64::from(c)).collect();
         let lin = linial::color_from_initial(&net, initial, u64::from(x_palette).max(2), &self.rt)
             .expect("fixed schedule terminates");
@@ -624,7 +623,7 @@ impl Solver {
             .map(|e| inst.list(e).iter().take(g.edge_degree(e) + 1).collect())
             .collect();
         let (colors, elim_rounds) =
-            class_elimination::list_color_by_classes(lg.graph(), &lists, &lin.colors, palette);
+            class_elimination::list_color_by_classes(&net, &lists, &lin.colors, palette);
         let cost = CostNode::seq(
             format!("base-case(Δ̄={})", g.max_edge_degree()),
             vec![

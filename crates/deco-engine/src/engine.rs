@@ -85,12 +85,11 @@ impl Executor for ParallelExecutor {
         <P::Program as NodeProgram>::Msg: Send + Sync,
         <P::Program as NodeProgram>::Output: Send,
     {
-        let g = net.graph();
-        let n = g.num_nodes();
-        let ranges = match thread_count(self.threads, g.degree_sum(), n) {
+        let n = net.num_nodes();
+        let ranges = match thread_count(self.threads, net.num_ports(), n) {
             1 => Vec::new(),
             threads => {
-                let weights: Vec<usize> = g.nodes().map(|v| g.degree(v)).collect();
+                let weights: Vec<usize> = (0..n).map(|v| net.degree(v.into())).collect();
                 split_by_weight(&weights, threads)
             }
         };
@@ -208,7 +207,7 @@ where
             let ctx = net.ctx(v.into());
             slots[i] = if halted[v] { None } else { progs[i].send(&ctx) };
             if slots[i].is_some() {
-                sent += ctx.degree() as u64;
+                sent += ctx.degree as u64;
             }
         }
         sent
@@ -232,7 +231,6 @@ fn receive_phase<P>(
     <P::Program as NodeProgram>::Msg: Send + Sync,
     <P::Program as NodeProgram>::Output: Send,
 {
-    let g = net.graph();
     let parts = ranges
         .iter()
         .cloned()
@@ -248,7 +246,7 @@ fn receive_phase<P>(
             }
             let ctx = net.ctx(v.into());
             inbox.clear();
-            inbox.extend(g.neighbors(v.into()).map(|u| outbox[u.index()].clone()));
+            inbox.extend(net.neighbors(v.into()).map(|u| outbox[u.index()].clone()));
             progs[i].receive(&ctx, &inbox);
             outs[i] = progs[i].output(&ctx);
             halts[i] = outs[i].is_some();

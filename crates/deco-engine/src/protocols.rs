@@ -34,25 +34,25 @@ impl NodeProgram for FloodMaxProgram {
     type Msg = u64;
     type Output = u64;
 
-    fn send(&mut self, _ctx: &NodeCtx<'_>) -> Option<u64> {
+    fn send(&mut self, _ctx: &NodeCtx) -> Option<u64> {
         Some(self.best)
     }
 
-    fn receive(&mut self, _ctx: &NodeCtx<'_>, inbox: &[Option<u64>]) {
+    fn receive(&mut self, _ctx: &NodeCtx, inbox: &[Option<u64>]) {
         for m in inbox.iter().flatten() {
             self.best = self.best.max(*m);
         }
         self.round += 1;
     }
 
-    fn output(&self, _ctx: &NodeCtx<'_>) -> Option<u64> {
+    fn output(&self, _ctx: &NodeCtx) -> Option<u64> {
         (self.round >= self.radius).then_some(self.best)
     }
 }
 
 impl Protocol for FloodMax {
     type Program = FloodMaxProgram;
-    fn spawn(&self, ctx: &NodeCtx<'_>) -> FloodMaxProgram {
+    fn spawn(&self, ctx: &NodeCtx) -> FloodMaxProgram {
         FloodMaxProgram {
             best: ctx.id,
             round: 0,
@@ -92,11 +92,11 @@ impl NodeProgram for PortEchoProgram {
     type Msg = u64;
     type Output = u64;
 
-    fn send(&mut self, ctx: &NodeCtx<'_>) -> Option<u64> {
+    fn send(&mut self, ctx: &NodeCtx) -> Option<u64> {
         Some(ctx.id)
     }
 
-    fn receive(&mut self, _ctx: &NodeCtx<'_>, inbox: &[Option<u64>]) {
+    fn receive(&mut self, _ctx: &NodeCtx, inbox: &[Option<u64>]) {
         for (port, slot) in inbox.iter().enumerate() {
             let sender = slot.expect("every neighbor sends every round");
             self.digest = echo_step(self.digest, port, sender);
@@ -104,14 +104,14 @@ impl NodeProgram for PortEchoProgram {
         self.round += 1;
     }
 
-    fn output(&self, _ctx: &NodeCtx<'_>) -> Option<u64> {
+    fn output(&self, _ctx: &NodeCtx) -> Option<u64> {
         (self.round >= self.limit).then_some(self.digest)
     }
 }
 
 impl Protocol for PortEcho {
     type Program = PortEchoProgram;
-    fn spawn(&self, _ctx: &NodeCtx<'_>) -> PortEchoProgram {
+    fn spawn(&self, _ctx: &NodeCtx) -> PortEchoProgram {
         PortEchoProgram {
             digest: 0,
             round: 0,
@@ -145,25 +145,25 @@ impl NodeProgram for StaggeredSumProgram {
     type Msg = u64;
     type Output = u64;
 
-    fn send(&mut self, ctx: &NodeCtx<'_>) -> Option<u64> {
+    fn send(&mut self, ctx: &NodeCtx) -> Option<u64> {
         (self.round % 2 == ctx.id % 2).then_some(self.acc)
     }
 
-    fn receive(&mut self, _ctx: &NodeCtx<'_>, inbox: &[Option<u64>]) {
+    fn receive(&mut self, _ctx: &NodeCtx, inbox: &[Option<u64>]) {
         self.acc = self
             .acc
             .wrapping_add(inbox.iter().flatten().fold(0u64, |a, &m| a.wrapping_add(m)));
         self.round += 1;
     }
 
-    fn output(&self, _ctx: &NodeCtx<'_>) -> Option<u64> {
+    fn output(&self, _ctx: &NodeCtx) -> Option<u64> {
         (self.round >= self.deadline).then_some(self.acc)
     }
 }
 
 impl Protocol for StaggeredSum {
     type Program = StaggeredSumProgram;
-    fn spawn(&self, ctx: &NodeCtx<'_>) -> StaggeredSumProgram {
+    fn spawn(&self, ctx: &NodeCtx) -> StaggeredSumProgram {
         StaggeredSumProgram {
             acc: ctx.id,
             round: 0,

@@ -8,8 +8,9 @@
 //! Edge coloring works in the *line graph*: the degree of an edge
 //! `e = {u, v}` is `deg(e) = deg(u) + deg(v) − 2` — the number of edges that
 //! share an endpoint with `e`. [`Graph::edge_degree`] and
-//! [`Graph::max_edge_degree`] expose that directly so callers do not have to
-//! materialize the line graph for bookkeeping.
+//! [`Graph::max_edge_degree`] expose that directly, and
+//! [`Graph::edge_neighbors`] lists an edge's line-graph neighbors, so
+//! callers do not have to materialize the line graph.
 
 use crate::{EdgeId, NodeId};
 use std::fmt;

@@ -8,8 +8,11 @@
 //!
 //! In the LOCAL model a round of an algorithm on `L(G)` is simulated by a
 //! constant number of rounds on `G` (adjacent edges share a node that can
-//! relay), which is why the workspace freely runs vertex-coloring algorithms
-//! on materialized line graphs.
+//! relay), which is why the workspace runs vertex-coloring algorithms on
+//! line graphs. It does so on `deco_local::Network::line`, a view that reads
+//! `L(G)` off `G`'s arrays; no solve builds `L(G)`. [`LineGraph::of`]
+//! materializes it, with `Θ(Σ_v deg(v)²)` edges, as the oracle the view is
+//! tested against and for measuring that cost.
 
 use crate::{EdgeId, Graph, GraphBuilder, NodeId};
 

@@ -124,21 +124,21 @@ mod tests {
     impl NodeProgram for EchoProgram {
         type Msg = u64;
         type Output = u64;
-        fn send(&mut self, _ctx: &NodeCtx<'_>) -> Option<u64> {
+        fn send(&mut self, _ctx: &NodeCtx) -> Option<u64> {
             Some(self.heard)
         }
-        fn receive(&mut self, _ctx: &NodeCtx<'_>, inbox: &[Option<u64>]) {
+        fn receive(&mut self, _ctx: &NodeCtx, inbox: &[Option<u64>]) {
             self.heard += inbox.iter().flatten().sum::<u64>();
             self.done = true;
         }
-        fn output(&self, _ctx: &NodeCtx<'_>) -> Option<u64> {
+        fn output(&self, _ctx: &NodeCtx) -> Option<u64> {
             self.done.then_some(self.heard)
         }
     }
 
     impl Protocol for Echo {
         type Program = EchoProgram;
-        fn spawn(&self, ctx: &NodeCtx<'_>) -> EchoProgram {
+        fn spawn(&self, ctx: &NodeCtx) -> EchoProgram {
             EchoProgram {
                 heard: ctx.id,
                 done: false,

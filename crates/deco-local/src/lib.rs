@@ -9,7 +9,8 @@
 //! Three layers:
 //!
 //! * [`network`] / [`runner`] — a faithful port-numbered synchronous
-//!   executor for per-node state machines ([`runner::NodeProgram`]).
+//!   executor for per-node state machines ([`runner::NodeProgram`]), on a
+//!   graph or on its line graph read off the graph's arrays.
 //! * [`cost`] — round accounting for *phase-structured* algorithms: cost
 //!   trees with sequential (sum) and parallel (max) composition, carrying
 //!   both the actually-used rounds and the fixed-schedule budget.

@@ -1,14 +1,23 @@
 //! Port-numbered synchronous networks (the LOCAL model, §2.2 of the paper).
 //!
-//! A [`Network`] wraps a communication graph plus a unique-identifier
+//! A [`Network`] wraps a communication topology plus a unique-identifier
 //! assignment from `{1, …, n^O(1)}`. Nodes know `n`, `Δ`, and their own ID;
 //! they communicate with neighbors through numbered ports. All of this is
 //! exactly the knowledge the LOCAL model grants.
+//!
+//! The topology is a CSR [`Graph`] or the line graph `L(G)` of one, read on
+//! the fly from `G`'s arrays ([`Network::line`]). Node `e = {u, v}` (`u < v`)
+//! of the line view has `deg(u) + deg(v) − 2` ports: first `adj(u) ∖ e`,
+//! then `adj(v) ∖ e`, the order `LineGraph::of` assigns. One round on `L(G)`
+//! costs `O(1)` rounds on `G` (a shared endpoint relays), so the view is
+//! what the paper runs, without the `Θ(Σ_v deg(v)²)` graph.
 
 use deco_graph::hashing::DetHashSet;
-use deco_graph::{Adjacent, Graph, NodeId};
+use deco_graph::{Adjacent, EdgeId, Graph, NodeId};
 use rand::prelude::*;
 use rand::rngs::StdRng;
+use std::iter::Chain;
+use std::slice;
 
 /// How unique IDs are assigned to nodes, for adversarial testing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -25,21 +34,10 @@ pub enum IdAssignment {
     SparseRandom(u64),
 }
 
-/// A LOCAL-model network: graph + ID assignment.
-#[derive(Debug, Clone)]
-pub struct Network<'g> {
-    graph: &'g Graph,
-    ids: Vec<u64>,
-    // Cached global knowledge (ctx() is on the per-node per-round hot path).
-    max_degree: usize,
-    max_id: u64,
-}
-
-impl<'g> Network<'g> {
-    /// Builds a network over `graph` with the given ID assignment.
-    pub fn new(graph: &'g Graph, assignment: IdAssignment) -> Network<'g> {
-        let n = graph.num_nodes();
-        let ids = match assignment {
+impl IdAssignment {
+    /// The IDs of `n` nodes under this assignment.
+    fn ids(self, n: usize) -> Vec<u64> {
+        match self {
             IdAssignment::Sequential => (1..=n as u64).collect(),
             IdAssignment::Reversed => (1..=n as u64).rev().collect(),
             IdAssignment::Shuffled(seed) => {
@@ -65,8 +63,34 @@ impl<'g> Network<'g> {
                 }
                 ids
             }
-        };
-        Network::with_cached(graph, ids)
+        }
+    }
+}
+
+/// The graph a network runs on.
+#[derive(Debug, Clone, Copy)]
+enum Topology<'g> {
+    /// The graph itself.
+    Graph(&'g Graph),
+    /// The line graph of the graph: node `i` is edge `EdgeId(i)`.
+    Line(&'g Graph),
+}
+
+/// A LOCAL-model network: topology + ID assignment.
+#[derive(Debug, Clone)]
+pub struct Network<'g> {
+    topology: Topology<'g>,
+    ids: Vec<u64>,
+    // Cached global knowledge (ctx() is on the per-node per-round hot path).
+    max_degree: usize,
+    max_id: u64,
+    num_ports: usize,
+}
+
+impl<'g> Network<'g> {
+    /// Builds a network over `graph` with the given ID assignment.
+    pub fn new(graph: &'g Graph, assignment: IdAssignment) -> Network<'g> {
+        Network::with_cached(Topology::Graph(graph), assignment.ids(graph.num_nodes()))
     }
 
     /// Builds a network with explicit IDs.
@@ -76,7 +100,32 @@ impl<'g> Network<'g> {
     /// Panics if `ids` has the wrong length, contains zero, or has
     /// duplicates.
     pub fn with_ids(graph: &'g Graph, ids: Vec<u64>) -> Network<'g> {
-        assert_eq!(ids.len(), graph.num_nodes(), "one ID per node required");
+        Network::checked(Topology::Graph(graph), ids)
+    }
+
+    /// Builds a network over the line graph `L(g)`, one node per edge of
+    /// `g` (node `i` is `EdgeId(i)`), with the given ID assignment.
+    pub fn line(g: &'g Graph, assignment: IdAssignment) -> Network<'g> {
+        Network::with_cached(Topology::Line(g), assignment.ids(g.num_edges()))
+    }
+
+    /// Builds a network over the line graph `L(g)` with explicit IDs, one
+    /// per edge of `g`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ids` has the wrong length, contains zero, or has
+    /// duplicates.
+    pub fn line_with_ids(g: &'g Graph, ids: Vec<u64>) -> Network<'g> {
+        Network::checked(Topology::Line(g), ids)
+    }
+
+    fn checked(topology: Topology<'g>, ids: Vec<u64>) -> Network<'g> {
+        let n = match topology {
+            Topology::Graph(g) => g.num_nodes(),
+            Topology::Line(g) => g.num_edges(),
+        };
+        assert_eq!(ids.len(), n, "one ID per node required");
         let mut sorted = ids.clone();
         sorted.sort_unstable();
         assert!(
@@ -87,24 +136,75 @@ impl<'g> Network<'g> {
             sorted.windows(2).all(|w| w[0] != w[1]),
             "IDs must be distinct"
         );
-        Network::with_cached(graph, ids)
+        Network::with_cached(topology, ids)
     }
 
-    fn with_cached(graph: &'g Graph, ids: Vec<u64>) -> Network<'g> {
-        let max_degree = graph.max_degree();
+    fn with_cached(topology: Topology<'g>, ids: Vec<u64>) -> Network<'g> {
+        let (max_degree, num_ports) = match topology {
+            Topology::Graph(g) => (g.max_degree(), g.degree_sum()),
+            Topology::Line(g) => (
+                g.max_edge_degree(),
+                g.nodes()
+                    .map(|v| g.degree(v) * g.degree(v).saturating_sub(1))
+                    .sum(),
+            ),
+        };
         let max_id = ids.iter().copied().max().unwrap_or(1);
         Network {
-            graph,
+            topology,
             ids,
             max_degree,
             max_id,
+            num_ports,
         }
     }
 
-    /// The underlying communication graph.
+    /// Number of nodes: `n` of the graph, or `m` of a line view.
     #[inline]
-    pub fn graph(&self) -> &'g Graph {
-        self.graph
+    pub fn num_nodes(&self) -> usize {
+        self.ids.len()
+    }
+
+    /// Number of ports of node `v`.
+    #[inline]
+    pub fn degree(&self, v: NodeId) -> usize {
+        match self.topology {
+            Topology::Graph(g) => g.degree(v),
+            Topology::Line(g) => g.edge_degree(EdgeId(v.0)),
+        }
+    }
+
+    /// The neighbors of `v` in port order: the node behind port `i` comes
+    /// `i`-th.
+    #[inline]
+    pub fn neighbors(&self, v: NodeId) -> Neighbors<'g> {
+        match self.topology {
+            Topology::Graph(g) => Neighbors {
+                ports: g.adjacent(v).iter().chain(&[]),
+                line_of: None,
+            },
+            Topology::Line(g) => {
+                let e = EdgeId(v.0);
+                let [a, b] = g.endpoints(e);
+                Neighbors {
+                    ports: g.adjacent(a).iter().chain(g.adjacent(b)),
+                    line_of: Some(e),
+                }
+            }
+        }
+    }
+
+    /// Maximum degree Δ of the topology (0 without ports).
+    #[inline]
+    pub fn max_degree(&self) -> usize {
+        self.max_degree
+    }
+
+    /// Total number of ports, `Σ_v deg(v)`: the messages of one round in
+    /// which every node broadcasts.
+    #[inline]
+    pub fn num_ports(&self) -> usize {
+        self.num_ports
     }
 
     /// The unique ID of node `v`.
@@ -126,26 +226,48 @@ impl<'g> Network<'g> {
     }
 
     /// The knowledge context handed to node `v`'s program.
-    pub fn ctx(&self, v: NodeId) -> NodeCtx<'_> {
+    #[inline]
+    pub fn ctx(&self, v: NodeId) -> NodeCtx {
         NodeCtx {
             node: v,
             id: self.id(v),
-            n: self.graph.num_nodes(),
+            n: self.num_nodes(),
             max_degree: self.max_degree,
             id_bound: self.max_id,
-            ports: self.graph.adjacent(v),
+            degree: self.degree(v),
+        }
+    }
+}
+
+/// Iterator over a node's neighbors in port order, from
+/// [`Network::neighbors`].
+#[derive(Debug, Clone)]
+pub struct Neighbors<'g> {
+    ports: Chain<slice::Iter<'g, Adjacent>, slice::Iter<'g, Adjacent>>,
+    /// On a line view, the edge whose endpoints' adjacency lists `ports`
+    /// walks: it is skipped, and every other entry's edge is a neighbor.
+    line_of: Option<EdgeId>,
+}
+
+impl Iterator for Neighbors<'_> {
+    type Item = NodeId;
+
+    #[inline]
+    fn next(&mut self) -> Option<NodeId> {
+        match self.line_of {
+            None => self.ports.next().map(|a| a.neighbor),
+            Some(e) => self.ports.find(|a| a.edge != e).map(|a| NodeId(a.edge.0)),
         }
     }
 }
 
 /// What a node knows at the start of a LOCAL computation: its ID, the global
-/// parameters `n` and `Δ`, an upper bound on IDs, and its ports.
+/// parameters `n` and `Δ`, an upper bound on IDs, and how many ports it has.
 ///
-/// Note the ports expose only *local* connectivity — `ports[i].neighbor` is
-/// used by the runner for delivery, while well-behaved programs should treat
-/// port indices as opaque and learn about neighbors through messages.
+/// Ports are opaque: a program learns who is behind port `i` only through
+/// the messages that arrive there. The runner delivers them.
 #[derive(Debug, Clone, Copy)]
-pub struct NodeCtx<'a> {
+pub struct NodeCtx {
     /// The node this context belongs to (dense simulator index).
     pub node: NodeId,
     /// The node's unique ID in `{1, …, id_bound}`.
@@ -156,16 +278,9 @@ pub struct NodeCtx<'a> {
     pub max_degree: usize,
     /// Public upper bound on node IDs (`n^{O(1)}`).
     pub id_bound: u64,
-    /// This node's ports: `ports[i]` connects to a neighbor via an edge.
-    pub ports: &'a [Adjacent],
-}
-
-impl NodeCtx<'_> {
-    /// Degree of this node.
-    #[inline]
-    pub fn degree(&self) -> usize {
-        self.ports.len()
-    }
+    /// Number of ports of this node: every inbox it receives has this
+    /// length.
+    pub degree: usize,
 }
 
 #[cfg(test)]
@@ -224,10 +339,34 @@ mod tests {
         let g = generators::star(3);
         let net = Network::new(&g, IdAssignment::Sequential);
         let ctx = net.ctx(NodeId(0));
-        assert_eq!(ctx.degree(), 3);
+        assert_eq!(ctx.degree, 3);
         assert_eq!(ctx.n, 4);
         assert_eq!(ctx.max_degree, 3);
         assert_eq!(ctx.id, 1);
+    }
+
+    #[test]
+    fn line_view_lists_both_endpoints_in_port_order() {
+        // Edges e0 = {0,1}, e1 = {1,2}, e2 = {2,3}, e3 = {1,4}.
+        let g = Graph::from_edges(5, [(0, 1), (1, 2), (2, 3), (1, 4)]).unwrap();
+        let net = Network::line(&g, IdAssignment::Sequential);
+        assert_eq!(net.num_nodes(), 4);
+        assert_eq!(net.ids(), &[1, 2, 3, 4]);
+        // e1: adj(1) ∖ e1 = [e0, e3], then adj(2) ∖ e1 = [e2].
+        let ports: Vec<NodeId> = net.neighbors(NodeId(1)).collect();
+        assert_eq!(ports, [NodeId(0), NodeId(3), NodeId(2)]);
+        assert_eq!(net.ctx(NodeId(1)).degree, 3);
+        assert_eq!(net.degree(NodeId(2)), 1);
+        assert_eq!(net.max_degree(), 3);
+        // Σ deg(v)(deg(v) − 1) over the degrees 1, 3, 2, 1, 1.
+        assert_eq!(net.num_ports(), 6 + 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "one ID per node")]
+    fn line_with_ids_wants_one_id_per_edge() {
+        let g = generators::path(3);
+        let _ = Network::line_with_ids(&g, vec![1, 2, 3]);
     }
 
     #[test]

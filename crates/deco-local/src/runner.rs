@@ -25,14 +25,14 @@ pub trait NodeProgram {
     /// `None` sends nothing. A protocol that needs per-neighbor content
     /// broadcasts a payload keyed by neighbor id, and each receiver reads
     /// its own entry.
-    fn send(&mut self, ctx: &NodeCtx<'_>) -> Option<Self::Msg>;
+    fn send(&mut self, ctx: &NodeCtx) -> Option<Self::Msg>;
 
     /// Processes the messages received this round: `inbox[i]` arrived
     /// through port `i` (i.e. from the neighbor behind port `i`).
-    fn receive(&mut self, ctx: &NodeCtx<'_>, inbox: &[Option<Self::Msg>]);
+    fn receive(&mut self, ctx: &NodeCtx, inbox: &[Option<Self::Msg>]);
 
     /// The node's output once it has halted; `None` while still running.
-    fn output(&self, ctx: &NodeCtx<'_>) -> Option<Self::Output>;
+    fn output(&self, ctx: &NodeCtx) -> Option<Self::Output>;
 }
 
 /// Factory creating one [`NodeProgram`] per node. Implementations typically
@@ -42,7 +42,7 @@ pub trait Protocol {
     type Program: NodeProgram;
 
     /// Creates the program for node `ctx.node`.
-    fn spawn(&self, ctx: &NodeCtx<'_>) -> Self::Program;
+    fn spawn(&self, ctx: &NodeCtx) -> Self::Program;
 }
 
 /// Outcome of running a protocol to completion.
@@ -96,8 +96,7 @@ pub fn run<P: Protocol>(
     protocol: &P,
     max_rounds: u64,
 ) -> Result<RunOutcome<<P::Program as NodeProgram>::Output>, RunError> {
-    let g = net.graph();
-    let n = g.num_nodes();
+    let n = net.num_nodes();
     let mut programs: Vec<P::Program> = (0..n)
         .map(|v| protocol.spawn(&net.ctx(NodeId::from(v))))
         .collect();
@@ -135,7 +134,7 @@ pub fn run<P: Protocol>(
                 None
             };
             if outbox[v].is_some() {
-                messages += ctx.degree() as u64;
+                messages += ctx.degree as u64;
             }
         }
         drop(send_span);
@@ -147,7 +146,7 @@ pub fn run<P: Protocol>(
                 let v_id = NodeId::from(v);
                 let ctx = net.ctx(v_id);
                 inbox.clear();
-                inbox.extend(g.neighbors(v_id).map(|u| outbox[u.index()].clone()));
+                inbox.extend(net.neighbors(v_id).map(|u| outbox[u.index()].clone()));
                 programs[v].receive(&ctx, &inbox);
                 outputs[v] = programs[v].output(&ctx);
             }
@@ -193,25 +192,25 @@ mod tests {
         type Msg = u64;
         type Output = u64;
 
-        fn send(&mut self, _ctx: &NodeCtx<'_>) -> Option<u64> {
+        fn send(&mut self, _ctx: &NodeCtx) -> Option<u64> {
             Some(self.best)
         }
 
-        fn receive(&mut self, _ctx: &NodeCtx<'_>, inbox: &[Option<u64>]) {
+        fn receive(&mut self, _ctx: &NodeCtx, inbox: &[Option<u64>]) {
             for m in inbox.iter().flatten() {
                 self.best = self.best.max(*m);
             }
             self.round += 1;
         }
 
-        fn output(&self, _ctx: &NodeCtx<'_>) -> Option<u64> {
+        fn output(&self, _ctx: &NodeCtx) -> Option<u64> {
             (self.round >= self.radius).then_some(self.best)
         }
     }
 
     impl Protocol for MaxIdFlood {
         type Program = MaxIdProgram;
-        fn spawn(&self, ctx: &NodeCtx<'_>) -> MaxIdProgram {
+        fn spawn(&self, ctx: &NodeCtx) -> MaxIdProgram {
             MaxIdProgram {
                 best: ctx.id,
                 round: 0,

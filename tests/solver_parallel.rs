@@ -22,7 +22,8 @@ use deco::core_alg::solver::{
 };
 use deco::engine::par::MIN_PARALLEL_SLOTS;
 use deco::engine::{GraphSpec, IdFlavor, ParallelExecutor, Scenario};
-use deco::graph::{generators, Graph, LineGraph};
+use deco::graph::{generators, Graph};
+use deco::local::{IdAssignment, Network};
 use deco::Runtime;
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 4];
@@ -105,7 +106,7 @@ fn scenario_matrix_families_match_serial() {
             // Smaller networks run on the serial runner whatever the thread
             // count; this L(G) does not, so the top-level Linial run of every
             // barrier entry in the lineup goes through the threaded phases.
-            let ports = LineGraph::of(&g).graph().degree_sum();
+            let ports = Network::line(&g, IdAssignment::Sequential).num_ports();
             assert!(ports >= MIN_PARALLEL_SLOTS, "L(G) has {ports} ports");
         }
         differential(&scenario.name, &g, SolverConfig::default());
