@@ -19,7 +19,7 @@
 //! * [`list_color_by_classes`] — a centralized sweep producing *identical*
 //!   output with the same round charge (used at scale).
 
-use deco_local::{Executor, Network, NodeCtx, NodeProgram, Protocol, RunError};
+use deco_local::{Network, NodeCtx, NodeProgram, Protocol, RunError};
 use deco_runtime::Runtime;
 use std::collections::HashSet;
 

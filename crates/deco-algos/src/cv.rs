@@ -12,7 +12,7 @@
 //! conflict components are unrooted paths *and cycles*.
 
 use deco_graph::{Graph, NodeId};
-use deco_local::{Executor, Network, NodeCtx, NodeProgram, Protocol, RunError};
+use deco_local::{Network, NodeCtx, NodeProgram, Protocol, RunError};
 use deco_runtime::Runtime;
 
 /// Number of Cole–Vishkin halving steps needed from `bits`-bit colors to

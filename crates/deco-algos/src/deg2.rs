@@ -10,7 +10,7 @@
 //! class is an independent set.
 
 use crate::linial::{self, LinialSchedule};
-use deco_local::{Executor, Network, NodeCtx, NodeProgram, Protocol, RunError};
+use deco_local::{Network, NodeCtx, NodeProgram, Protocol, RunError};
 use deco_runtime::Runtime;
 
 /// Protocol: 3-color a max-degree-≤2 graph from a proper initial coloring.

@@ -20,7 +20,7 @@
 
 use crate::palette_u64_to_u32;
 use deco_local::math::next_prime;
-use deco_local::{Executor, Network, NodeCtx, NodeProgram, Protocol, RunError};
+use deco_local::{Network, NodeCtx, NodeProgram, Protocol, RunError};
 use deco_runtime::Runtime;
 use std::sync::Arc;
 

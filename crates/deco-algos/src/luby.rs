@@ -10,7 +10,7 @@
 //! deterministically from `(seed, id)` so simulations are reproducible.
 
 use deco_graph::NodeId;
-use deco_local::{Executor, Network, NodeCtx, NodeProgram, Protocol, RunError};
+use deco_local::{Network, NodeCtx, NodeProgram, Protocol, RunError};
 use deco_runtime::Runtime;
 use rand::prelude::*;
 use rand::rngs::StdRng;

@@ -7,9 +7,9 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use deco_engine::protocols::{FloodMax, PortEcho};
-use deco_engine::{Executor, ParallelExecutor, SerialExecutor};
+use deco_engine::ParallelExecutor;
 use deco_graph::generators;
-use deco_local::{IdAssignment, Network};
+use deco_local::{runner, IdAssignment, Network};
 
 /// The headline workload from the acceptance bar: random regular with
 /// n = 10⁴, Δ = 32.
@@ -24,12 +24,7 @@ fn bench_flood_engine_vs_serial(c: &mut Criterion) {
     let mut group = c.benchmark_group("flood/regular(10k,32)");
     group.sample_size(10);
     group.bench_function("serial", |b| {
-        b.iter(|| {
-            SerialExecutor
-                .execute(&net, &protocol, 50)
-                .unwrap()
-                .messages
-        })
+        b.iter(|| runner::run(&net, &protocol, 50).unwrap().messages)
     });
     group.bench_function("engine-auto", |b| {
         b.iter(|| {
@@ -46,16 +41,11 @@ fn bench_port_echo_thread_scaling(c: &mut Criterion) {
     let g = large_graph();
     let net = Network::new(&g, IdAssignment::Sequential);
     let protocol = PortEcho { rounds: 4 };
-    let baseline = SerialExecutor.execute(&net, &protocol, 10).unwrap();
+    let baseline = runner::run(&net, &protocol, 10).unwrap();
     let mut group = c.benchmark_group("port-echo/regular(10k,32)");
     group.sample_size(10);
     group.bench_function("serial", |b| {
-        b.iter(|| {
-            SerialExecutor
-                .execute(&net, &protocol, 10)
-                .unwrap()
-                .messages
-        })
+        b.iter(|| runner::run(&net, &protocol, 10).unwrap().messages)
     });
     for threads in [1usize, 2, 4, 8] {
         group.bench_with_input(

@@ -5,9 +5,8 @@
 
 use crate::table::Table;
 use deco_engine::protocols::{FloodMax, PortEcho};
-use deco_engine::{
-    Executor, GraphSpec, IdFlavor, ParallelExecutor, Scenario, ScenarioMatrix, SerialExecutor,
-};
+use deco_engine::{GraphSpec, IdFlavor, ParallelExecutor, Scenario, ScenarioMatrix};
+use deco_local::runner;
 use deco_runtime::Runtime;
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -25,9 +24,7 @@ pub fn run(_rt: &Runtime) -> String {
     for s in matrix.iter() {
         let g = s.graph();
         let net = s.network(&g);
-        let serial = SerialExecutor
-            .execute(&net, &FloodMax { radius: 4 }, 50)
-            .unwrap();
+        let serial = runner::run(&net, &FloodMax { radius: 4 }, 50).unwrap();
         let engine = ParallelExecutor::auto()
             .execute(&net, &FloodMax { radius: 4 }, 50)
             .unwrap();
@@ -68,11 +65,7 @@ pub fn run(_rt: &Runtime) -> String {
         let scenario = Scenario::new(spec, IdFlavor::Shuffled, 7);
         let g = scenario.graph();
         let net = scenario.network(&g);
-        let (st, so) = time(|| {
-            SerialExecutor
-                .execute(&net, &FloodMax { radius }, 50)
-                .unwrap()
-        });
+        let (st, so) = time(|| runner::run(&net, &FloodMax { radius }, 50).unwrap());
         let (ea, ra) = time(|| {
             ParallelExecutor::auto()
                 .execute(&net, &FloodMax { radius }, 50)
@@ -87,11 +80,7 @@ pub fn run(_rt: &Runtime) -> String {
             format!("{:.2}x", st.as_secs_f64() / ea.as_secs_f64()),
         ]);
 
-        let (st2, so2) = time(|| {
-            SerialExecutor
-                .execute(&net, &PortEcho { rounds: 3 }, 10)
-                .unwrap()
-        });
+        let (st2, so2) = time(|| runner::run(&net, &PortEcho { rounds: 3 }, 10).unwrap());
         let (ea2, ra2) = time(|| {
             ParallelExecutor::auto()
                 .execute(&net, &PortEcho { rounds: 3 }, 10)

@@ -12,8 +12,9 @@
 use crate::records::append_trend_records;
 use crate::table::Table;
 use deco_engine::protocols::FloodMax;
-use deco_engine::{Executor, GraphSpec, IdFlavor, ParallelExecutor, Scenario, SerialExecutor};
+use deco_engine::{GraphSpec, IdFlavor, ParallelExecutor, Scenario};
 use deco_graph::{generators, io, Builder, GraphBuilder, NodeId};
+use deco_local::runner;
 use deco_runtime::Runtime;
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -150,7 +151,7 @@ pub fn run(rt: &Runtime) -> String {
     let gk = scenario.graph();
     let net = scenario.network(&gk);
     let proto = FloodMax { radius: 2 };
-    let (t_serial, serial) = time(|| SerialExecutor.execute(&net, &proto, 50).unwrap());
+    let (t_serial, serial) = time(|| runner::run(&net, &proto, 50).unwrap());
     let (t_engine, engine) = time(|| ParallelExecutor::auto().execute(&net, &proto, 50).unwrap());
     assert_eq!(serial.outputs, engine.outputs, "engine-auto");
     assert_eq!(serial.rounds, engine.rounds, "engine-auto");

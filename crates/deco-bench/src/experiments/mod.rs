@@ -8,8 +8,8 @@
 //! launched with (`Runtime::from_env()` in the binary) — and single-engine
 //! experiments run on it, attributing their tables to
 //! [`Runtime::descriptor`]. Experiments whose *subject* is an executor
-//! comparison (the `engine-*` and `solver-par` sweeps) construct their own
-//! fixed lineups on top, so their results stay comparable across CI legs.
+//! comparison (the `engine-matrix` sweep) construct their own fixed
+//! lineups on top, so their results stay comparable across CI legs.
 
 pub mod churn;
 pub mod defcol;
@@ -25,7 +25,6 @@ pub mod lem45;
 pub mod linial_exp;
 pub mod related_work;
 pub mod serve_load;
-pub mod solver_par;
 pub mod thm41_budget;
 pub mod thm41_measured;
 pub mod trace_profile;
@@ -54,7 +53,6 @@ pub fn all() -> Vec<(&'static str, Runner)> {
         ("graph-scale", graph_scale::run),
         ("churn", churn::run),
         ("serve-load", serve_load::run),
-        ("solver-par", solver_par::run),
         ("trace-profile", trace_profile::run),
     ]
 }

@@ -17,19 +17,12 @@
 //! colored, giving
 //! `T(Δ̄,1,C) ≤ O(β²·log Δ̄)·T(Δ̄,β,C) + O(log Δ̄·log* X)`.
 //!
-//! ## Parallel class execution
+//! ## Class order
 //!
-//! The class iteration carries a data dependency only between *adjacent*
-//! classes: class `j`'s residual lists read the colors of neighboring edges
-//! colored by earlier classes `i < j`, and nothing else. [`sweep`] therefore
-//! schedules the classes in dependency *wavefronts* — class `j` joins wave
-//! `1 + max(wave(i))` over earlier classes `i` adjacent to it (wave 0 if
-//! none) — and hands each wave's slack-β solves to
-//! [`Executor::execute_branches`]. Classes in one wave are mutually
-//! non-adjacent, so their residual-list reads and color writes cannot
-//! interact, and every class still observes exactly the colors it would
-//! have observed in the serial class-order iteration: colors, statistics,
-//! and the cost tree are bit-identical for every executor and thread count.
+//! [`sweep`] handles the defective classes one after another, in ascending
+//! class order, as step 2 does: a class's residual lists read the colors
+//! that earlier classes gave its members' neighbors. The cost tree charges
+//! the classes in sequence.
 
 use crate::defective::{defective_edge_coloring, defective_palette};
 use crate::instance::ListInstance;
@@ -37,16 +30,14 @@ use crate::lists::ColorList;
 use crate::solver::{SolveBranch, SolveError, SolveStats};
 use deco_graph::coloring::Color;
 use deco_graph::{EdgeId, EdgeSubgraph};
-use deco_local::{CostNode, Executor};
+use deco_local::CostNode;
 use deco_runtime::Runtime;
 
 /// The inner solver a sweep hands active classes to. Receives a slack-β
 /// instance together with its restricted initial `X`-edge-coloring, and must
 /// return a complete valid coloring plus its cost and recursion stats
-/// ([`SolveBranch`]). Classes of one wavefront solve concurrently, hence
-/// `Fn + Sync`; errors propagate through the sweep.
-pub type InnerSolver<'a> =
-    dyn Fn(&ListInstance, &[u32]) -> Result<SolveBranch, SolveError> + Sync + 'a;
+/// ([`SolveBranch`]); errors propagate through the sweep.
+pub type InnerSolver<'a> = dyn Fn(&ListInstance, &[u32]) -> Result<SolveBranch, SolveError> + 'a;
 
 /// Statistics of one Lemma 4.2 sweep, used by the experiment harness to
 /// verify the lemma's inequalities empirically.
@@ -83,36 +74,12 @@ pub struct SweepOutcome {
     pub inner_stats: SolveStats,
 }
 
-/// A class whose active sub-instance is ready to solve: everything the
-/// inner solver needs, captured before its wave fans out.
-struct PreparedClass {
-    /// Index into the class-ordered bucket list.
-    bucket: usize,
-    /// The defective class color (for cost labels).
-    class: u32,
-    /// The slack-β active sub-instance.
-    sub_inst: ListInstance,
-    /// Restricted initial `X`-coloring.
-    sub_x: Vec<u32>,
-    /// Sub-instance edge → parent edge.
-    edge_map: Vec<EdgeId>,
-}
-
 /// Runs one Lemma 4.2 sweep on `inst` with parameter `beta`, using `inner`
-/// to solve each active class (a slack-β instance). Classes are scheduled
-/// in dependency wavefronts (see the module docs); each wave's inner solves
-/// run as parallel branches on `executor`, observationally identical to the
-/// serial class-order iteration.
+/// to solve each active class (a slack-β instance), in class order.
 ///
 /// # Errors
 ///
-/// Propagates the first inner-solver error in wave order (class order
-/// within a wave). This is deterministic for every executor; note it can
-/// differ from strict class order only when classes in *different* waves
-/// fail in the same sweep — with the current error kind
-/// (`SolveError::DepthExceeded`), every inner solve of a sweep runs at the
-/// same depth, so all simultaneous failures carry the same value and the
-/// propagated error is identical to the serial iteration's either way.
+/// Propagates the first inner-solver error in class order.
 ///
 /// # Panics
 ///
@@ -133,43 +100,17 @@ pub fn sweep(
     let num_classes = defective_palette(beta);
 
     // Bucket edges by defective class; the ascending class order is the
-    // serial processing order that defines the observable behavior (empty
-    // classes cost schedule rounds but no work — the budget side is
-    // accounted in `budget.rs`). Buckets are sparse: with the paper's β the
-    // palette is far larger than the edge count.
-    let mut bucket_map: std::collections::BTreeMap<u32, Vec<EdgeId>> =
+    // processing order that defines the observable behavior (empty classes
+    // cost schedule rounds but no work — the budget side is accounted in
+    // `budget.rs`). Buckets are sparse: with the paper's β the palette is
+    // far larger than the edge count.
+    let mut buckets: std::collections::BTreeMap<u32, Vec<EdgeId>> =
         std::collections::BTreeMap::new();
     for e in g.edges() {
-        bucket_map
+        buckets
             .entry(defective.colors[e.index()])
             .or_default()
             .push(e);
-    }
-    let buckets: Vec<(u32, Vec<EdgeId>)> = bucket_map.into_iter().collect();
-
-    // Wavefront schedule: class j depends on class i < j exactly when some
-    // member of j neighbors a member of i (j's residual lists read i's
-    // colors). wave(j) = 1 + max wave over dependencies, 0 if independent.
-    let mut bucket_of: Vec<usize> = vec![usize::MAX; m];
-    for (j, (_, members)) in buckets.iter().enumerate() {
-        for &e in members {
-            bucket_of[e.index()] = j;
-        }
-    }
-    let mut wave_of: Vec<usize> = vec![0; buckets.len()];
-    let mut num_waves = 0usize;
-    for (j, (_, members)) in buckets.iter().enumerate() {
-        let mut wave = 0usize;
-        for &e in members {
-            for f in g.edge_neighbors(e) {
-                let i = bucket_of[f.index()];
-                if i < j {
-                    wave = wave.max(wave_of[i] + 1);
-                }
-            }
-        }
-        wave_of[j] = wave;
-        num_waves = num_waves.max(wave + 1);
     }
 
     let mut colors: Vec<Option<Color>> = vec![None; m];
@@ -179,114 +120,79 @@ pub fn sweep(
         messages: defective.messages,
         ..SweepStats::default()
     };
-    // Per-bucket results, assembled in class order after the waves so the
-    // outcome is independent of wave interleaving.
-    let mut class_costs: Vec<Option<CostNode>> = (0..buckets.len()).map(|_| None).collect();
-    let mut class_stats: Vec<Option<SolveStats>> = vec![None; buckets.len()];
-
-    for wave in 0..num_waves {
-        // Step 3(a)+(b), for every class of this wave: residual lists
-        // against already-colored neighbors (all in earlier waves, hence
-        // complete); actives have |L′| > deg(e)/2. Learning neighbor colors
-        // costs one round.
-        let mut prepared: Vec<PreparedClass> = Vec::new();
-        for (j, (class, members)) in buckets.iter().enumerate() {
-            if wave_of[j] != wave {
-                continue;
-            }
-            debug_assert!(!members.is_empty(), "buckets are created non-empty");
-            stats.classes_nonempty += 1;
-            let mut active: Vec<EdgeId> = Vec::new();
-            let mut active_lists: Vec<ColorList> = Vec::new();
-            for &e in members {
-                let mut list = inst.list(e).clone();
-                let used: Vec<Color> = g
-                    .edge_neighbors(e)
-                    .filter_map(|f| colors[f.index()])
-                    .collect();
-                list.remove_all(&used);
-                if list.len() as f64 > g.edge_degree(e) as f64 / 2.0 {
-                    active.push(e);
-                    active_lists.push(list);
-                } else {
-                    stats.inactive += 1;
-                }
-            }
-            if active.is_empty() {
-                class_costs[j] = Some(CostNode::leaf(format!("class {class}: learn colors"), 1));
-                continue;
-            }
-
-            let sub = EdgeSubgraph::from_edge_ids(g, &active);
-            let sub_inst =
-                ListInstance::new_unchecked(sub.graph().clone(), active_lists, inst.palette());
-            // Invariant (paper, "Enough slack"): |L′_e| > β·deg′(e).
-            for se in sub_inst.graph().edges() {
-                let deg_sub = sub_inst.graph().edge_degree(se);
-                let len = sub_inst.list(se).len();
-                assert!(
-                    len as f64 > beta as f64 * deg_sub as f64,
-                    "active edge lost its slack: |L'|={len}, β·deg'={}",
-                    beta as usize * deg_sub
-                );
-                if deg_sub > 0 {
-                    stats.min_active_slack =
-                        stats.min_active_slack.min(len as f64 / deg_sub as f64);
-                }
-            }
-            let sub_x: Vec<u32> = sub
-                .edge_map()
-                .iter()
-                .map(|pe| x_coloring[pe.index()])
-                .collect();
-            stats.colored += active.len();
-            prepared.push(PreparedClass {
-                bucket: j,
-                class: *class,
-                sub_inst,
-                sub_x,
-                edge_map: sub.edge_map().to_vec(),
-            });
-        }
-
-        // Step 3(c): solve P(Δ̄/2β, β, C) on each active subgraph. The
-        // classes of one wave are mutually non-adjacent, so their solves
-        // are independent branches; results come back in class order.
-        let weights: Vec<usize> = prepared
-            .iter()
-            .map(|p| p.sub_inst.graph().num_edges())
-            .collect();
-        let results = rt.execute_branches(&weights, |k| {
-            let _span = deco_trace::span(deco_trace::Phase::SolverBranch);
-            let p = &prepared[k];
-            inner(&p.sub_inst, &p.sub_x)
-        });
-        for (p, result) in prepared.iter().zip(results) {
-            let branch = result?;
-            debug_assert!(
-                p.sub_inst
-                    .check_solution(&deco_graph::coloring::EdgeColoring::from_complete(
-                        branch.colors.clone()
-                    ))
-                    .is_ok(),
-                "inner solver returned an invalid coloring"
-            );
-            for (idx, &pe) in p.edge_map.iter().enumerate() {
-                colors[pe.index()] = Some(branch.colors[idx]);
-            }
-            class_stats[p.bucket] = Some(branch.stats);
-            class_costs[p.bucket] = Some(CostNode::seq(
-                format!("class {}: learn + solve slack-β", p.class),
-                vec![CostNode::leaf("learn neighbor colors", 1), branch.cost],
-            ));
-        }
-    }
-
-    // Merge the inner recursion stats in class order (deterministic; every
-    // field is commutative, so this equals any execution order).
     let mut inner_stats = SolveStats::default();
-    for s in class_stats.into_iter().flatten() {
-        inner_stats.merge(&s);
+    let mut costs: Vec<CostNode> = vec![defective.cost];
+
+    for (class, members) in buckets {
+        // Step 3(a)+(b): residual lists against already-colored neighbors;
+        // actives have |L′| > deg(e)/2. Learning neighbor colors costs one
+        // round.
+        stats.classes_nonempty += 1;
+        let mut active: Vec<EdgeId> = Vec::new();
+        let mut active_lists: Vec<ColorList> = Vec::new();
+        for e in members {
+            let mut list = inst.list(e).clone();
+            let used: Vec<Color> = g
+                .edge_neighbors(e)
+                .filter_map(|f| colors[f.index()])
+                .collect();
+            list.remove_all(&used);
+            if list.len() as f64 > g.edge_degree(e) as f64 / 2.0 {
+                active.push(e);
+                active_lists.push(list);
+            } else {
+                stats.inactive += 1;
+            }
+        }
+        if active.is_empty() {
+            costs.push(CostNode::leaf(format!("class {class}: learn colors"), 1));
+            continue;
+        }
+
+        let sub = EdgeSubgraph::from_edge_ids(g, &active);
+        let sub_inst =
+            ListInstance::new_unchecked(sub.graph().clone(), active_lists, inst.palette());
+        // Invariant (paper, "Enough slack"): |L′_e| > β·deg′(e).
+        for se in sub_inst.graph().edges() {
+            let deg_sub = sub_inst.graph().edge_degree(se);
+            let len = sub_inst.list(se).len();
+            assert!(
+                len as f64 > beta as f64 * deg_sub as f64,
+                "active edge lost its slack: |L'|={len}, β·deg'={}",
+                beta as usize * deg_sub
+            );
+            if deg_sub > 0 {
+                stats.min_active_slack = stats.min_active_slack.min(len as f64 / deg_sub as f64);
+            }
+        }
+        let sub_x: Vec<u32> = sub
+            .edge_map()
+            .iter()
+            .map(|pe| x_coloring[pe.index()])
+            .collect();
+        stats.colored += active.len();
+
+        // Step 3(c): solve P(Δ̄/2β, β, C) on the active subgraph.
+        let branch = {
+            let _span = deco_trace::span(deco_trace::Phase::SolverBranch);
+            inner(&sub_inst, &sub_x)?
+        };
+        debug_assert!(
+            sub_inst
+                .check_solution(&deco_graph::coloring::EdgeColoring::from_complete(
+                    branch.colors.clone()
+                ))
+                .is_ok(),
+            "inner solver returned an invalid coloring"
+        );
+        for (idx, &pe) in sub.edge_map().iter().enumerate() {
+            colors[pe.index()] = Some(branch.colors[idx]);
+        }
+        inner_stats.merge(&branch.stats);
+        costs.push(CostNode::seq(
+            format!("class {class}: learn + solve slack-β"),
+            vec![CostNode::leaf("learn neighbor colors", 1), branch.cost],
+        ));
     }
 
     debug_assert!(
@@ -298,16 +204,7 @@ pub fn sweep(
         "sweep produced adjacent same-colored edges"
     );
 
-    let cost = CostNode::seq(
-        format!("lemma-4.2 sweep(β={beta})"),
-        std::iter::once(defective.cost.clone())
-            .chain(
-                class_costs
-                    .into_iter()
-                    .map(|c| c.expect("every nonempty class produced a cost node")),
-            )
-            .collect(),
-    );
+    let cost = CostNode::seq(format!("lemma-4.2 sweep(β={beta})"), costs);
     Ok(SweepOutcome {
         colors,
         cost,
@@ -477,85 +374,6 @@ mod tests {
         orig_inst
             .check_solution(&full)
             .expect("complete proper list coloring");
-    }
-
-    /// Reference oracle: the historical strictly-sequential class-order
-    /// iteration, reimplemented verbatim. The wavefront schedule must
-    /// reproduce its colors exactly.
-    fn serial_class_order_sweep(
-        inst: &ListInstance,
-        beta: u32,
-        x_coloring: &[u32],
-        x_palette: u32,
-    ) -> Vec<Option<Color>> {
-        let g = inst.graph();
-        let defective = defective_edge_coloring(g, beta, x_coloring, x_palette, &Runtime::serial());
-        let mut buckets: std::collections::BTreeMap<u32, Vec<EdgeId>> =
-            std::collections::BTreeMap::new();
-        for e in g.edges() {
-            buckets
-                .entry(defective.colors[e.index()])
-                .or_default()
-                .push(e);
-        }
-        let mut colors: Vec<Option<Color>> = vec![None; g.num_edges()];
-        for members in buckets.values() {
-            let mut active: Vec<EdgeId> = Vec::new();
-            let mut active_lists: Vec<ColorList> = Vec::new();
-            for &e in members {
-                let mut list = inst.list(e).clone();
-                let used: Vec<Color> = g
-                    .edge_neighbors(e)
-                    .filter_map(|f| colors[f.index()])
-                    .collect();
-                list.remove_all(&used);
-                if list.len() as f64 > g.edge_degree(e) as f64 / 2.0 {
-                    active.push(e);
-                    active_lists.push(list);
-                }
-            }
-            if active.is_empty() {
-                continue;
-            }
-            let sub = EdgeSubgraph::from_edge_ids(g, &active);
-            let sub_inst =
-                ListInstance::new_unchecked(sub.graph().clone(), active_lists, inst.palette());
-            let sub_x: Vec<u32> = sub
-                .edge_map()
-                .iter()
-                .map(|pe| x_coloring[pe.index()])
-                .collect();
-            let branch = greedy_inner(&sub_inst, &sub_x).unwrap();
-            for (idx, &pe) in sub.edge_map().iter().enumerate() {
-                colors[pe.index()] = Some(branch.colors[idx]);
-            }
-        }
-        colors
-    }
-
-    #[test]
-    fn wavefront_schedule_matches_serial_class_order() {
-        for (g, beta) in [
-            (generators::random_regular(40, 8, 5), 1u32),
-            (generators::gnp(50, 0.15, 6), 1),
-            (generators::gnp(50, 0.15, 6), 2),
-            (generators::complete(12), 1),
-            // Disconnected: two clusters give genuinely independent classes,
-            // so waves really do hold more than one class.
-            (
-                {
-                    let a = generators::random_regular(20, 4, 7);
-                    generators::disjoint_union(&[a.clone(), a])
-                },
-                1,
-            ),
-        ] {
-            let inst = instance::two_delta_minus_one(&g);
-            let (xc, xp) = x_for(&g);
-            let out = sweep(&inst, &xc, xp, beta, &Runtime::serial(), &greedy_inner).unwrap();
-            let oracle = serial_class_order_sweep(&inst, beta, &xc, xp);
-            assert_eq!(out.colors, oracle, "wavefront must be invisible");
-        }
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //!   `(deg+1)`-list instance on a virtual graph with Δ̄ ≤ 2p−1 ≈ 2√Δ̄ — the
 //!   polynomial degree reduction that yields the `O(log log Δ)` recursion
 //!   depth — and the per-subspace residuals (palette `C/p`, slack divided
-//!   by `24·H_{2p}·log p`) recurse in parallel.
+//!   by `24·H_{2p}·log p`) recurse independently.
 //! * Instances with constant degree (or constant palette) bottom out in the
 //!   classic base case: Linial's coloring from the initial `X`-edge-coloring
 //!   (`O(log* X)` rounds) followed by a constant number of class-elimination
@@ -26,29 +26,22 @@
 //! ([`Strategy::Kuhn20`]), or fixed small parameters
 //! ([`Strategy::ConstantP`]) for ablation.
 //!
-//! ## Parallel recursion
+//! ## Branches run in order
 //!
-//! The recursion's logically-parallel composition points — the paper's
-//! reason the round budget takes a `max`, not a sum — really do execute in
-//! parallel, routed through [`Executor::execute_branches`]:
+//! The recursion's branches — Lemma 4.3's per-subspace residuals and
+//! Lemma 4.2's per-class slack-β solves (`slack::sweep`) — run one after
+//! another on the calling thread. Parallelism is a statement about LOCAL
+//! rounds, and the cost tree records it: the subspace residuals use
+//! disjoint color ranges on edge-disjoint subgraphs, so their costs
+//! compose with [`CostNode::par`] (a `max`, not a sum), while the classes
+//! of a sweep compose in sequence. The engine on the [`Runtime`] threads
+//! only the message-passing runs inside each branch.
 //!
-//! * Lemma 4.3's per-subspace residuals use disjoint color ranges on
-//!   edge-disjoint subgraphs and fan out directly;
-//! * Lemma 4.2's per-class slack-β solves carry a sequential data
-//!   dependency only between *adjacent* classes (a class's residual lists
-//!   read the colors of neighboring, earlier classes), so `slack::sweep`
-//!   schedules them in dependency wavefronts: classes in the same wave are
-//!   mutually non-adjacent and solve concurrently.
-//!
-//! Parallelism is observationally invisible. Each recursive solve returns a
-//! self-contained [`SolveBranch`] — colors, cost subtree, and its own
-//! [`SolveStats`] — and branch stats are merged **in branch order** at
-//! every join point ([`SolveStats::merge`]; all counters are sums or maxes,
-//! so the merged totals are bit-identical to the serial recursion for every
-//! thread count). There is no shared mutable state anywhere in the
-//! recursion: the serial runtime ([`Runtime::serial`]) reproduces the
-//! historical serial behavior exactly, and the differential suite holds
-//! every engine to it.
+//! Each recursive solve returns a self-contained [`SolveBranch`] — colors,
+//! cost subtree, and its own [`SolveStats`] — and branch stats are merged
+//! in branch order ([`SolveStats::merge`]). Every engine runs the same
+//! recursion, and the differential suite holds each to the serial
+//! runtime ([`Runtime::serial`]).
 //!
 //! Failure is structured, never a panic: exceeding
 //! [`SolverConfig::max_depth`] surfaces as [`SolveError::DepthExceeded`]
@@ -65,7 +58,7 @@ use deco_algos::{class_elimination, edge_adapter, linial};
 use deco_graph::coloring::{Color, EdgeColoring};
 use deco_graph::{EdgeId, Graph};
 use deco_local::math::harmonic;
-use deco_local::{CostNode, Executor, Network};
+use deco_local::{CostNode, Network};
 use deco_runtime::Runtime;
 use std::fmt;
 use std::time::{Duration, Instant};
@@ -135,9 +128,8 @@ impl SolverConfig {
 }
 
 /// Structured solver failure. The solver never panics on these conditions;
-/// they propagate as `Err` through every recursion level — including across
-/// parallel branch joins, where the first failing branch *in branch order*
-/// wins deterministically.
+/// they propagate as `Err` through every recursion level; the first failing
+/// branch *in branch order* stops the solve.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SolveError {
     /// The recursion exceeded [`SolverConfig::max_depth`].
@@ -163,9 +155,8 @@ impl std::error::Error for SolveError {}
 
 /// One solved sub-recursion (a *branch*): the colors of its sub-instance,
 /// its cost subtree, and the [`SolveStats`] accumulated beneath it. Every
-/// internal solve returns a self-contained branch; join points merge
-/// branch stats in branch order ([`SolveStats::merge`]), which is what
-/// makes the recursion thread-safe without any shared mutable state.
+/// internal solve returns a self-contained branch, and the caller merges
+/// branch stats in branch order ([`SolveStats::merge`]).
 #[derive(Debug, Clone)]
 pub struct SolveBranch {
     /// One color per sub-instance edge, drawn from that edge's list.
@@ -217,9 +208,7 @@ pub struct SolveStats {
 
 impl SolveStats {
     /// Folds another branch's counters into this one. Counts add, extrema
-    /// take the max — every field is commutative and associative, so
-    /// merging parallel branches in branch order reproduces the serial
-    /// recursion's totals bit for bit.
+    /// take the max.
     pub fn merge(&mut self, other: &SolveStats) {
         self.sweeps += other.sweeps;
         self.classes_nonempty += other.classes_nonempty;
@@ -247,16 +236,14 @@ pub struct Solution {
 
 /// The Theorem 4.1 solver, running on a [`Runtime`] that carries whichever
 /// engine executes its message-passing sub-protocols (the Linial base-case
-/// runs, the defective coloring's conflict-path runs) *and* its parallel
-/// recursion branches (per-subspace residuals, per-class slack-β solves).
-/// Defaults to the serial reference runtime; pass an engine-backed
-/// [`Runtime`] via [`Solver::with_runtime`] for large instances and real
-/// worker-thread parallelism. No generics: every engine is one arm of the
-/// runtime's `Engine`, and all of them are observationally identical.
+/// runs, the defective coloring's conflict-path runs). Defaults to the
+/// serial reference runtime; pass an engine-backed [`Runtime`] via
+/// [`Solver::with_runtime`] for large instances and worker-thread
+/// parallelism. No generics: every engine is one arm of the runtime's
+/// `Engine`, and all of them are observationally identical.
 ///
 /// The solver holds no mutable state — all counters live in per-branch
-/// [`SolveStats`] merged at join points — so a `&Solver` is freely shared
-/// across the engine's worker threads.
+/// [`SolveStats`] merged in branch order.
 #[derive(Debug, Clone, Copy)]
 pub struct Solver {
     config: SolverConfig,
@@ -270,8 +257,8 @@ impl Solver {
         Solver::with_runtime(config, Runtime::serial())
     }
 
-    /// Creates a solver that runs its protocol executions and parallel
-    /// recursion branches on `rt`'s engine.
+    /// Creates a solver that runs its protocol executions on `rt`'s
+    /// engine.
     pub fn with_runtime(config: SolverConfig, rt: Runtime) -> Solver {
         Solver { config, rt }
     }
@@ -364,9 +351,8 @@ impl Solver {
         Ok(())
     }
 
-    /// Slack-1 path (Lemma 4.2 + base case). The sweeps themselves are a
-    /// sequential chain (each residual depends on the previous sweep), but
-    /// the per-class solves inside each sweep fan out on the executor.
+    /// Slack-1 path (Lemma 4.2 + base case): a chain of sweeps, each on the
+    /// residual of the previous one.
     fn solve_deg1(
         &self,
         inst: &ListInstance,
@@ -460,7 +446,7 @@ impl Solver {
 
     /// Slack-S path (Lemma 4.3 / Lemma 4.5 unrolled one step at a time).
     /// The per-subspace residuals are edge-disjoint with disjoint color
-    /// ranges, so they execute as parallel branches on the executor.
+    /// ranges, so their costs compose in parallel.
     fn solve_with_slack(
         &self,
         inst: &ListInstance,
@@ -545,28 +531,21 @@ impl Solver {
         }
 
         // Per-subspace residuals: disjoint color ranges on edge-disjoint
-        // subgraphs — truly parallel branches; each retains slack
-        // ≥ S / (24·H_q·log p). Branch results are merged in branch order.
-        let weights: Vec<usize> = red
-            .sub_instances
-            .iter()
-            .map(|sub| sub.instance.graph().num_edges())
-            .collect();
-        let branches = self.rt.execute_branches(&weights, |i| {
-            let _span = deco_trace::span(deco_trace::Phase::SolverBranch);
-            let sub = &red.sub_instances[i];
-            self.solve_with_slack(
-                &sub.instance,
-                &sub.x_coloring,
-                x_palette,
-                new_slack,
-                depth + 1,
-            )
-        });
+        // subgraphs, so in LOCAL rounds they run in parallel; each retains
+        // slack ≥ S / (24·H_q·log p).
         let mut colors: Vec<Option<Color>> = vec![None; inst.graph().num_edges()];
         let mut children: Vec<CostNode> = Vec::new();
-        for (sub, branch) in red.sub_instances.iter().zip(branches) {
-            let branch = branch?;
+        for sub in &red.sub_instances {
+            let branch = {
+                let _span = deco_trace::span(deco_trace::Phase::SolverBranch);
+                self.solve_with_slack(
+                    &sub.instance,
+                    &sub.x_coloring,
+                    x_palette,
+                    new_slack,
+                    depth + 1,
+                )?
+            };
             for (idx, &pe) in sub.edge_map.iter().enumerate() {
                 colors[pe.index()] = Some(branch.colors[idx] + sub.color_offset);
             }
@@ -761,8 +740,7 @@ pub fn solve_two_delta_minus_one(
 /// Solves an arbitrary `(deg(e)+1)`-list instance over `g` end to end on
 /// whatever engine `rt` carries: every message-passing protocol execution
 /// (the initial Linial edge coloring, the solver's base-case and
-/// defective-coloring runs) *and* every parallel recursion branch routes
-/// through the runtime's engine.
+/// defective-coloring runs) routes through the runtime's engine.
 ///
 /// # Errors
 ///

@@ -26,10 +26,10 @@
 use crate::par::{fan_out, split_by_weight, split_mut_by_ranges, thread_count};
 use deco_local::network::Network;
 use deco_local::runner::{NodeProgram, Protocol, RunError, RunOutcome};
-use deco_local::Executor;
 use std::ops::Range;
 
-/// Multi-threaded implementation of [`Executor`].
+/// The barrier engine: [`deco_local::runner::run`]'s schedule with each
+/// phase split over worker threads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ParallelExecutor {
     threads: usize,
@@ -70,10 +70,15 @@ impl ParallelExecutor {
     pub fn threads(&self) -> usize {
         self.threads
     }
-}
 
-impl Executor for ParallelExecutor {
-    fn execute<P>(
+    /// Runs `protocol` on `net` until every node halts or `max_rounds` is
+    /// hit, observationally identical to [`deco_local::runner::run`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RunError::RoundLimitExceeded`] exactly when the serial
+    /// runner would.
+    pub fn execute<P>(
         &self,
         net: &Network<'_>,
         protocol: &P,
@@ -152,31 +157,6 @@ impl Executor for ParallelExecutor {
             rounds,
             messages,
         })
-    }
-
-    /// Branch fan-out: branches are packed into contiguous weight-balanced
-    /// ranges ([`split_by_weight`]) and the ranges run through `par::fan_out`,
-    /// each returning its results in index order; concatenating them in
-    /// range order makes the output independent of scheduling, so this is
-    /// observationally identical to the serial default for every thread
-    /// count. The thread count follows `par::thread_count` with the summed
-    /// weights as the work: a batch lighter than
-    /// [`MIN_PARALLEL_SLOTS`](crate::par::MIN_PARALLEL_SLOTS) runs inline.
-    /// Branches may recurse into the executor (nested scopes are fine).
-    fn execute_branches<T, F>(&self, weights: &[usize], run: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(usize) -> T + Sync,
-    {
-        let threads = thread_count(self.threads, weights.iter().sum(), weights.len());
-        let ranges = split_by_weight(weights, threads);
-        if ranges.len() <= 1 {
-            return (0..weights.len()).map(run).collect();
-        }
-        fan_out(ranges, |range| range.map(&run).collect::<Vec<T>>())
-            .into_iter()
-            .flatten()
-            .collect()
     }
 }
 
@@ -258,13 +238,11 @@ fn receive_phase<P>(
 mod tests {
     use super::*;
     use deco_local::network::IdAssignment;
-    use deco_local::SerialExecutor;
+    use deco_local::runner;
 
     use crate::par::MIN_PARALLEL_SLOTS;
     use crate::protocols::FloodMax;
     use deco_graph::generators;
-    use std::collections::HashSet;
-    use std::sync::Mutex;
 
     fn assert_identical<O: PartialEq + std::fmt::Debug>(a: &RunOutcome<O>, b: &RunOutcome<O>) {
         assert_eq!(a.outputs, b.outputs);
@@ -279,9 +257,7 @@ mod tests {
         for n in [50, MIN_PARALLEL_SLOTS / 2] {
             let g = generators::cycle(n);
             let net = Network::new(&g, IdAssignment::Shuffled(3));
-            let serial = SerialExecutor
-                .execute(&net, &FloodMax { radius: 7 }, 100)
-                .unwrap();
+            let serial = runner::run(&net, &FloodMax { radius: 7 }, 100).unwrap();
             for threads in [1, 2, 5] {
                 let engine = ParallelExecutor::with_threads(threads)
                     .execute(&net, &FloodMax { radius: 7 }, 100)
@@ -308,9 +284,7 @@ mod tests {
         for n in [3, MIN_PARALLEL_SLOTS] {
             let g = generators::path(n);
             let net = Network::new(&g, IdAssignment::Sequential);
-            let serial = SerialExecutor
-                .execute(&net, &FloodMax { radius: 50 }, 5)
-                .unwrap_err();
+            let serial = runner::run(&net, &FloodMax { radius: 50 }, 5).unwrap_err();
             let engine = ParallelExecutor::with_threads(2)
                 .execute(&net, &FloodMax { radius: 50 }, 5)
                 .unwrap_err();
@@ -334,56 +308,5 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn zero_threads_rejected() {
         let _ = ParallelExecutor::with_threads(0);
-    }
-
-    #[test]
-    fn branch_execution_matches_serial_default() {
-        let weights: Vec<usize> = (0..37).map(|i| ((i * 13) % 7 + 1) * 128).collect();
-        assert!(weights.iter().sum::<usize>() >= MIN_PARALLEL_SLOTS);
-        let job = |i: usize| (i, (i as u64) * (i as u64) % 101);
-        let serial = SerialExecutor.execute_branches(&weights, job);
-        for threads in [1, 2, 3, 8, 64] {
-            let workers = Mutex::new(HashSet::new());
-            let par = ParallelExecutor::with_threads(threads).execute_branches(&weights, |i| {
-                workers.lock().unwrap().insert(std::thread::current().id());
-                job(i)
-            });
-            assert_eq!(serial, par, "threads={threads}");
-            let workers = workers.into_inner().unwrap().len();
-            assert_eq!(workers > 1, threads > 1, "threads={threads}: {workers}");
-        }
-    }
-
-    #[test]
-    fn light_branch_batches_run_inline_in_index_order() {
-        let caller = std::thread::current().id();
-        let weights = [1usize; 16];
-        for threads in [2, 8] {
-            let out = ParallelExecutor::with_threads(threads)
-                .execute_branches(&weights, |i| (i, std::thread::current().id()));
-            assert_eq!(out, (0..16).map(|i| (i, caller)).collect::<Vec<_>>());
-        }
-    }
-
-    #[test]
-    fn branch_execution_recurses_through_nested_scopes() {
-        // Each outer branch fans out again on the same executor; results
-        // must still come back in index order at both levels.
-        // Each level weighs MIN_PARALLEL_SLOTS or more, so both fan out.
-        let exec = ParallelExecutor::with_threads(3);
-        let heavy = [MIN_PARALLEL_SLOTS / 2; 4];
-        let outer = exec.execute_branches(&heavy, |i| {
-            let inner = exec.execute_branches(&heavy[..3], |j| i * 10 + j);
-            inner.iter().sum::<usize>()
-        });
-        assert_eq!(outer, vec![3, 33, 63, 93]);
-    }
-
-    #[test]
-    fn branch_execution_handles_empty_and_singleton() {
-        let exec = ParallelExecutor::with_threads(4);
-        let empty: Vec<u32> = exec.execute_branches(&[], |_| unreachable!());
-        assert!(empty.is_empty());
-        assert_eq!(exec.execute_branches(&[5], |i| i + 1), vec![1]);
     }
 }

@@ -5,16 +5,13 @@
 //!
 //! * [`engine`] — [`ParallelExecutor`], which runs the send and receive
 //!   phases across threads over degree-balanced node ranges (one outbox
-//!   slot per node, since every node broadcasts or stays silent), and fans out
-//!   callers' independent branch computations (the Theorem 4.1 solver's
-//!   parallel recursion) the same way via [`Executor::execute_branches`].
-//!   Work below [`par::MIN_PARALLEL_SLOTS`] runs on the calling thread
-//!   whatever thread count was requested (a network on the serial runner
-//!   itself), so the Theorem 4.1 recursion's many small executions spawn
-//!   nothing. Parallelism is observationally invisible: outputs, round
-//!   counts, message counts, and errors are identical to the serial runner
-//!   for every protocol, network, and thread count (enforced by the
-//!   differential suite in `tests/`).
+//!   slot per node, since every node broadcasts or stays silent). A network
+//!   below [`par::MIN_PARALLEL_SLOTS`] ports runs on the serial runner
+//!   itself whatever thread count was requested, so the Theorem 4.1
+//!   recursion's many small executions spawn nothing. Parallelism is
+//!   observationally invisible: outputs, round counts, message counts, and
+//!   errors are identical to the serial runner for every protocol, network,
+//!   and thread count (enforced by the differential suite in `tests/`).
 //! * [`scenario`] — the scenario matrix: graph families × sizes ×
 //!   ID-assignment flavors enumerated from one base seed, with per-scenario
 //!   named RNG streams (ixa-style), so sweeps and benchmarks share one
@@ -28,8 +25,8 @@
 //!
 //! Threading is built on `std::thread::scope` (the build environment has no
 //! crates.io access, so `rayon` is unavailable). The barrier engine's
-//! phases and its branch fan-out both spawn through one helper,
-//! `par::fan_out`, which is the swap-in point if that changes.
+//! phases spawn through one helper, `par::fan_out`, which is the swap-in
+//! point if that changes.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -43,7 +40,3 @@ pub mod scenario;
 pub use config::EngineEnvError;
 pub use engine::ParallelExecutor;
 pub use scenario::{GraphSpec, IdFlavor, Scenario, ScenarioMatrix};
-
-// Re-exported so engine users name the contract without importing
-// deco-local explicitly.
-pub use deco_local::{Executor, SerialExecutor};

@@ -34,27 +34,19 @@
 
 use std::ops::Range;
 
-/// Work below which the phase-parallel engine runs on one thread, whatever
-/// thread count was requested. Work is counted in ports (`2m`) for a
-/// network and in summed branch weights for a branch batch. Below it,
-/// spawning and joining a phase's threads costs more than the phase's
-/// work, and the Theorem 4.1 recursion runs dozens of such small
-/// executions per solve. Outputs are identical on either side.
+/// Ports (`2m`) below which the phase-parallel engine runs a network on
+/// one thread, whatever thread count was requested. Below it, spawning
+/// and joining a phase's threads costs more than the phase's work, and
+/// the Theorem 4.1 recursion runs dozens of such small executions per
+/// solve. Outputs are identical on either side.
 ///
 /// The value 4096 was inherited from the auto (hardware-parallelism) mode
 /// and has not been measured as a crossover for explicit thread counts.
-/// For branch weights the unit is sub-instance edges, and no measured solve
-/// comes near it: with the default config the largest Lemma 4.2 wave batch
-/// sums to between 25 sub-instance edges (regular(100,8)) and 508
-/// (regular(2000,12)) over regular(100,8), regular(512,16),
-/// regular(2000,12), kronecker(10,8) and kronecker(12,8). So
-/// `execute_branches` runs inline on every solve measured; only the
-/// engine's unit tests, with weights scaled ×128, reach its threaded path.
 pub const MIN_PARALLEL_SLOTS: usize = 4096;
 
 /// The phase-parallel engine's thread-count rule: the threads that a
 /// request for `requested` threads (0 = hardware parallelism) gets on
-/// `work` units spread over `items` nodes or branches. Work below
+/// `work` ports spread over `items` nodes. Work below
 /// [`MIN_PARALLEL_SLOTS`] gets one thread; otherwise the request, capped at
 /// one thread per item. The result only changes wall time.
 pub(crate) fn thread_count(requested: usize, work: usize, items: usize) -> usize {
@@ -288,8 +280,7 @@ mod tests {
 
     #[test]
     fn split_handles_degenerate_inputs() {
-        // Empty weight slice: no ranges (and no panic) — the branch
-        // fan-out leans on this for empty batches.
+        // Empty weight slice (an empty graph): no ranges, and no panic.
         assert!(split_by_weight(&[], 1).is_empty());
         assert!(split_by_weight(&[], 8).is_empty());
 

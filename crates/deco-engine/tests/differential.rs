@@ -10,10 +10,10 @@
 
 use deco_engine::par::MIN_PARALLEL_SLOTS;
 use deco_engine::protocols::{FloodMax, PortEcho, StaggeredSum};
-use deco_engine::{Executor, GraphSpec, ParallelExecutor, ScenarioMatrix, SerialExecutor};
+use deco_engine::{GraphSpec, ParallelExecutor, ScenarioMatrix};
 use deco_graph::{Graph, LineGraph};
 use deco_local::network::{IdAssignment, Network};
-use deco_local::runner::{NodeProgram, Protocol, RunError, RunOutcome};
+use deco_local::runner::{self, NodeProgram, Protocol, RunError, RunOutcome};
 
 /// The barrier engine at each thread count the CI engine matrix pins.
 const THREAD_COUNTS: [usize; 3] = [1, 2, 4];
@@ -51,7 +51,7 @@ where
     <P::Program as NodeProgram>::Msg: Send + Sync,
     <P::Program as NodeProgram>::Output: Send + PartialEq + std::fmt::Debug,
 {
-    let serial = SerialExecutor.execute(net, protocol, max_rounds);
+    let serial = runner::run(net, protocol, max_rounds);
     for t in THREAD_COUNTS {
         let engine = ParallelExecutor::with_threads(t).execute(net, protocol, max_rounds);
         assert_identical(&format!("{name} barrier/t={t}"), &serial, &engine);
@@ -72,8 +72,8 @@ where
     let lg = LineGraph::of(g);
     let materialized = Network::with_ids(lg.graph(), ids.to_vec());
     let view = Network::line_with_ids(g, ids.to_vec());
-    let oracle = SerialExecutor.execute(&materialized, protocol, max_rounds);
-    let serial = SerialExecutor.execute(&view, protocol, max_rounds);
+    let oracle = runner::run(&materialized, protocol, max_rounds);
+    let serial = runner::run(&view, protocol, max_rounds);
     assert_identical(&format!("{name} view/serial"), &oracle, &serial);
     for t in THREAD_COUNTS {
         let engine = ParallelExecutor::with_threads(t);

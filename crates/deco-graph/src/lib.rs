@@ -35,7 +35,6 @@ pub mod hashing;
 mod ids;
 pub mod io;
 mod line_graph;
-pub mod matching;
 mod mutable;
 mod subgraph;
 pub mod traversal;

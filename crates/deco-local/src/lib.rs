@@ -10,7 +10,8 @@
 //!
 //! * [`network`] / [`runner`] — a faithful port-numbered synchronous
 //!   executor for per-node state machines ([`runner::NodeProgram`]), on a
-//!   graph or on its line graph read off the graph's arrays.
+//!   graph or on its line graph read off the graph's arrays. [`run`] is
+//!   the reference every faster engine is held to.
 //! * [`cost`] — round accounting for *phase-structured* algorithms: cost
 //!   trees with sequential (sum) and parallel (max) composition, carrying
 //!   both the actually-used rounds and the fixed-schedule budget.
@@ -24,13 +25,11 @@
 #![warn(missing_docs)]
 
 pub mod cost;
-pub mod exec;
 pub mod locality;
 pub mod math;
 pub mod network;
 pub mod runner;
 
 pub use cost::{Compose, CostNode};
-pub use exec::{Executor, SerialExecutor};
 pub use network::{IdAssignment, Network, NodeCtx};
 pub use runner::{run, NodeProgram, Protocol, RunError, RunOutcome};

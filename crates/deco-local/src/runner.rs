@@ -10,6 +10,16 @@
 //! `receive`, and all communication flows through ports. Locality tests
 //! (`locality.rs`) exploit this to verify that outputs depend only on
 //! radius-T balls.
+//!
+//! [`run`] is the reference executor, and its behavior defines the model.
+//! A faster engine (the barrier engine in `deco-engine`) must return the
+//! same outputs, round count, message count and errors for every protocol
+//! and network, but it need not schedule the work the same way: a node's
+//! round-`r` state depends only on its radius-`r` neighborhood, so any
+//! schedule that keeps the rounds apart reproduces the synchronous
+//! execution bit for bit. The differential suites hold every engine to
+//! this, error cases included; [`RunError`] is reserved for model-level
+//! outcomes, identical on every engine.
 
 use crate::network::{Network, NodeCtx};
 use deco_graph::NodeId;

@@ -6,11 +6,12 @@
 //! puts them behind one value, so no algorithm names a concrete executor
 //! type:
 //!
-//! * [`Engine`] — an enum over the concrete executors, itself an
-//!   [`Executor`] by static dispatch per arm.
+//! * [`Engine`] — which executor runs: the serial runner or the barrier
+//!   engine.
 //! * [`Runtime`] — the handle algorithms take (`fn(..., rt: &Runtime)`):
 //!   an [`Engine`] plus cross-cutting run policy (the round budget for
-//!   open-ended protocols).
+//!   open-ended protocols). [`Runtime::execute`] is the one dispatch, a
+//!   `match` on the engine.
 //! * [`RuntimeBuilder`] — explicit settings (threads / max-rounds / trace)
 //!   layered over the `DECO_ENGINE_THREADS` / `DECO_TRACE` environment:
 //!   builder settings always win, unset ones fall back to the
@@ -26,7 +27,7 @@
 //! assert_eq!(rt.descriptor(), "barrier(threads=2)");
 //!
 //! // A clean builder (and a clean environment) is the serial reference.
-//! assert!(matches!(Runtime::builder().build().engine(), Engine::Serial(_)));
+//! assert_eq!(*Runtime::builder().build().engine(), Engine::Serial);
 //! ```
 //!
 //! The facade is pure selection — it never changes what runs. The
@@ -40,8 +41,7 @@
 use deco_engine::config::{self, parse_threads, parse_trace};
 use deco_engine::ParallelExecutor;
 use deco_local::network::Network;
-use deco_local::runner::{NodeProgram, Protocol, RunError, RunOutcome};
-use deco_local::{Executor, SerialExecutor};
+use deco_local::runner::{self, NodeProgram, Protocol, RunError, RunOutcome};
 
 /// The structured error of a malformed environment variable, returned by
 /// [`RuntimeBuilder::from_env`].
@@ -55,35 +55,18 @@ pub use deco_engine::config::EngineEnvError;
 pub const DEFAULT_MAX_ROUNDS: u64 = 1 << 20;
 
 /// One value that is whichever executor the caller (or the environment)
-/// picked. Implements [`Executor`] by static dispatch per arm — no
-/// generics, no trait objects, no `_with` variants.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// picked; [`Runtime::execute`] dispatches on it — no generics, no trait
+/// objects, no `_with` variants.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum Engine {
-    /// The serial reference executor — always available, always correct,
-    /// and the oracle every other arm is differentially tested against.
-    Serial(SerialExecutor),
+    /// The serial reference runner ([`deco_local::runner::run`]) — always
+    /// available, always correct, and the oracle every other arm is
+    /// differentially tested against.
+    #[default]
+    Serial,
     /// The barrier engine: phase-parallel rounds over degree-balanced
     /// node ranges.
     Parallel(ParallelExecutor),
-}
-
-impl Engine {
-    /// The serial reference engine.
-    pub fn serial() -> Engine {
-        Engine::Serial(SerialExecutor)
-    }
-}
-
-impl Default for Engine {
-    fn default() -> Engine {
-        Engine::serial()
-    }
-}
-
-impl From<SerialExecutor> for Engine {
-    fn from(e: SerialExecutor) -> Engine {
-        Engine::Serial(e)
-    }
 }
 
 impl From<ParallelExecutor> for Engine {
@@ -105,7 +88,7 @@ impl From<ParallelExecutor> for Engine {
 impl std::fmt::Display for Engine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            Engine::Serial(_) => f.write_str("serial"),
+            Engine::Serial => f.write_str("serial"),
             Engine::Parallel(e) => match e.threads() {
                 0 => f.write_str("barrier(threads=auto)"),
                 t => write!(f, "barrier(threads={t})"),
@@ -141,7 +124,7 @@ impl std::str::FromStr for Engine {
             descriptor: s.to_string(),
         };
         if s == "serial" {
-            return Ok(Engine::serial());
+            return Ok(Engine::Serial);
         }
         let threads = s
             .strip_prefix("barrier(threads=")
@@ -155,44 +138,10 @@ impl std::str::FromStr for Engine {
     }
 }
 
-impl Executor for Engine {
-    fn execute<P>(
-        &self,
-        net: &Network<'_>,
-        protocol: &P,
-        max_rounds: u64,
-    ) -> Result<RunOutcome<<P::Program as NodeProgram>::Output>, RunError>
-    where
-        P: Protocol,
-        P::Program: Send,
-        <P::Program as NodeProgram>::Msg: Send + Sync,
-        <P::Program as NodeProgram>::Output: Send,
-    {
-        match self {
-            Engine::Serial(e) => e.execute(net, protocol, max_rounds),
-            Engine::Parallel(e) => e.execute(net, protocol, max_rounds),
-        }
-    }
-
-    fn execute_branches<T, F>(&self, weights: &[usize], run: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(usize) -> T + Sync,
-    {
-        match self {
-            Engine::Serial(e) => e.execute_branches(weights, run),
-            Engine::Parallel(e) => e.execute_branches(weights, run),
-        }
-    }
-}
-
 /// The handle every algorithm and pipeline entry point takes: an
 /// [`Engine`] plus cross-cutting run policy. Plain `Copy` data — share it,
 /// store it, pass it by reference; it holds no threads or other resources
 /// (workers are scoped to each execution).
-///
-/// A `Runtime` is itself an [`Executor`], so code written against the
-/// executor contract accepts one directly.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Runtime {
     engine: Engine,
@@ -202,7 +151,7 @@ pub struct Runtime {
 impl Runtime {
     /// A runtime on the serial reference executor with default policy.
     pub fn serial() -> Runtime {
-        Runtime::new(Engine::serial())
+        Runtime::new(Engine::Serial)
     }
 
     /// A runtime on `engine` with default policy.
@@ -250,6 +199,32 @@ impl Runtime {
     pub fn descriptor(&self) -> String {
         self.engine.to_string()
     }
+
+    /// Runs `protocol` on `net` on this runtime's engine until every node
+    /// halts or `max_rounds` is hit. Every engine returns what
+    /// [`deco_local::runner::run`] returns.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RunError::RoundLimitExceeded`] exactly when the serial
+    /// runner would.
+    pub fn execute<P>(
+        &self,
+        net: &Network<'_>,
+        protocol: &P,
+        max_rounds: u64,
+    ) -> Result<RunOutcome<<P::Program as NodeProgram>::Output>, RunError>
+    where
+        P: Protocol,
+        P::Program: Send,
+        <P::Program as NodeProgram>::Msg: Send + Sync,
+        <P::Program as NodeProgram>::Output: Send,
+    {
+        match self.engine {
+            Engine::Serial => runner::run(net, protocol, max_rounds),
+            Engine::Parallel(e) => e.execute(net, protocol, max_rounds),
+        }
+    }
 }
 
 impl Default for Runtime {
@@ -264,40 +239,9 @@ impl From<Engine> for Runtime {
     }
 }
 
-impl From<SerialExecutor> for Runtime {
-    fn from(e: SerialExecutor) -> Runtime {
-        Runtime::new(e.into())
-    }
-}
-
 impl From<ParallelExecutor> for Runtime {
     fn from(e: ParallelExecutor) -> Runtime {
         Runtime::new(e.into())
-    }
-}
-
-impl Executor for Runtime {
-    fn execute<P>(
-        &self,
-        net: &Network<'_>,
-        protocol: &P,
-        max_rounds: u64,
-    ) -> Result<RunOutcome<<P::Program as NodeProgram>::Output>, RunError>
-    where
-        P: Protocol,
-        P::Program: Send,
-        <P::Program as NodeProgram>::Msg: Send + Sync,
-        <P::Program as NodeProgram>::Output: Send,
-    {
-        self.engine.execute(net, protocol, max_rounds)
-    }
-
-    fn execute_branches<T, F>(&self, weights: &[usize], run: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(usize) -> T + Sync,
-    {
-        self.engine.execute_branches(weights, run)
     }
 }
 
@@ -376,7 +320,7 @@ impl RuntimeBuilder {
         // The one place that turns the thread request into a concrete
         // executor.
         let engine = match self.threads {
-            None => Engine::serial(),
+            None => Engine::Serial,
             Some(0) => Engine::Parallel(ParallelExecutor::auto()),
             Some(t) => Engine::Parallel(ParallelExecutor::with_threads(t)),
         };
@@ -444,7 +388,7 @@ mod tests {
 
     #[test]
     fn descriptors_are_stable() {
-        assert_eq!(Engine::serial().to_string(), "serial");
+        assert_eq!(Engine::Serial.to_string(), "serial");
         assert_eq!(
             Engine::Parallel(ParallelExecutor::auto()).to_string(),
             "barrier(threads=auto)"
@@ -458,7 +402,7 @@ mod tests {
     #[test]
     fn descriptors_round_trip() {
         let lineup = [
-            Engine::serial(),
+            Engine::Serial,
             Engine::Parallel(ParallelExecutor::auto()),
             Engine::Parallel(ParallelExecutor::with_threads(1)),
             Engine::Parallel(ParallelExecutor::with_threads(2)),
@@ -504,7 +448,7 @@ mod tests {
 
     #[test]
     fn runtime_from_concrete_executors() {
-        assert_eq!(Runtime::from(SerialExecutor), Runtime::serial());
+        assert_eq!(Runtime::from(Engine::Serial), Runtime::serial());
         assert_eq!(
             *Runtime::from(ParallelExecutor::with_threads(2)).engine(),
             Engine::Parallel(ParallelExecutor::with_threads(2))
@@ -519,9 +463,7 @@ mod tests {
 
         let g = generators::cycle(24);
         let net = Network::new(&g, IdAssignment::Shuffled(3));
-        let oracle = SerialExecutor
-            .execute(&net, &FloodMax { radius: 3 }, 20)
-            .unwrap();
+        let oracle = runner::run(&net, &FloodMax { radius: 3 }, 20).unwrap();
         for rt in [
             Runtime::serial(),
             Runtime::from(ParallelExecutor::with_threads(2)),
@@ -530,7 +472,6 @@ mod tests {
             assert_eq!(out.outputs, oracle.outputs, "{}", rt.descriptor());
             assert_eq!(out.rounds, oracle.rounds, "{}", rt.descriptor());
             assert_eq!(out.messages, oracle.messages, "{}", rt.descriptor());
-            assert_eq!(rt.execute_branches(&[1, 1, 1], |i| i * 2), vec![0, 2, 4]);
         }
     }
 }

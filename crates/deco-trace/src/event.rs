@@ -25,11 +25,11 @@ pub enum Phase {
     /// The receive half of a round: processing inboxes and re-evaluating
     /// outputs.
     Receive,
-    /// One Lemma 4.2 sweep of the solver (dependency-wavefront class
-    /// solves).
+    /// One Lemma 4.2 sweep of the solver (its class solves, in class
+    /// order).
     Sweep,
-    /// One logically-parallel solver recursion branch (a per-subspace
-    /// residual or a per-class slack-β solve).
+    /// One inner solve: a Lemma 4.2 class or a Lemma 4.3 subspace
+    /// residual.
     SolverBranch,
     /// One end-to-end pipeline run (initial coloring + solve).
     Pipeline,

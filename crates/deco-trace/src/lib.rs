@@ -64,7 +64,7 @@ use std::time::Instant;
 
 /// Which sink a [`TraceConfig`] selects. `Off` is the default everywhere;
 /// parsing of the `DECO_TRACE` env var into this lives in
-/// `deco-engine::config` next to the other env parsers.
+/// `deco_engine::config` next to the other env parsers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TraceMode {
     /// Tracing disabled (the zero-cost path).

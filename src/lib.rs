@@ -5,14 +5,15 @@
 //!
 //! * [`graph`] — CSR graphs, line graphs, seeded generators, colorings,
 //!   and [`MutableGraph`] for edge churn with CSR snapshots on demand.
-//! * [`local`] — the LOCAL model: networks, the serial reference runner,
-//!   the [`local::Executor`] contract.
+//! * [`local`] — the LOCAL model: networks and the serial reference
+//!   runner [`local::run`], whose outputs, rounds, messages and errors
+//!   every engine must reproduce.
 //! * [`engine`] — the multi-threaded round-execution engine (one
 //!   broadcast slot per node, deterministic threading, scenario matrix).
 //! * [`runtime`] — the unified [`Runtime`] facade: one handle over both
-//!   engines ([`Engine`] is serial / barrier behind one `match`), built
-//!   explicitly via [`RuntimeBuilder`] or from the `DECO_ENGINE_THREADS`
-//!   environment variable via [`Runtime::from_env`].
+//!   engines ([`Runtime::execute`] matches on [`Engine`]: serial or
+//!   barrier), built explicitly via [`RuntimeBuilder`] or from the
+//!   `DECO_ENGINE_THREADS` environment variable via [`Runtime::from_env`].
 //! * [`algos`] — Linial, Cole–Vishkin, class elimination, Luby, greedy;
 //!   every protocol entry point takes `&Runtime`.
 //! * [`core_alg`] — the Theorem 4.1 solver; pipeline entry points return

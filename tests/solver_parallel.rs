@@ -10,11 +10,7 @@
 //! What the barrier legs actually thread: only the top-level Linial pass
 //! on L(G), and only where L(G) reaches [`MIN_PARALLEL_SLOTS`] ports
 //! (asserted below for the first scenario). Every other execution runs on
-//! the serial runner, and every `execute_branches` batch runs inline: the
-//! largest Lemma 4.2 wave batch here sums to a few dozen sub-instance
-//! edges, and 508 on regular(2000,12), the largest measured — far below
-//! the threshold. Threaded branch merging is covered only by the
-//! ×128-weight unit tests in deco-engine's `engine.rs`.
+//! the serial runner.
 
 use deco::core_alg::instance;
 use deco::core_alg::solver::{
@@ -33,8 +29,8 @@ fn ids(g: &Graph) -> Vec<u64> {
 }
 
 /// The lineup as runtimes: the barrier engine at each pinned thread count
-/// (the solver's protocol executions and branch fan-outs both route
-/// through the runtime), plus the env-pinned runtime
+/// (the solver's protocol executions route through the runtime), plus the
+/// env-pinned runtime
 /// (`DECO_ENGINE_THREADS`). Labels are the runtimes' own stable
 /// descriptors.
 fn runtime_lineup() -> Vec<(String, Runtime)> {
