@@ -108,12 +108,6 @@ pub fn schedule(m0: u64, delta: u64) -> LinialSchedule {
     }
 }
 
-/// The palette size Linial's algorithm stabilizes at for maximum degree
-/// `delta` (the `O(Δ²)` bound, concretely `q²` for the relevant prime).
-pub fn fixpoint_palette(m0: u64, delta: u64) -> u64 {
-    schedule(m0, delta).final_palette
-}
-
 /// The Linial color-reduction protocol. Input: a proper `m0`-coloring
 /// supplied per node (commonly the IDs). Output: a proper coloring with
 /// [`LinialSchedule::final_palette`] colors.

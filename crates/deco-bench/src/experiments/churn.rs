@@ -16,14 +16,11 @@
 //! At the end of each trace a fresh pipeline solve of the final graph runs
 //! for the differential wall-clock comparison: recolors-per-update vs the
 //! node count a fresh solve would touch, and incremental-vs-fresh time.
-//! Headline numbers append to `DECO_BENCH_JSON` (see [`crate::records`]) so
-//! `bench-trend` can gate regressions.
 //!
 //! `DECO_CHURN_SMOKE=1` switches to the smoke matrix with shorter traces
 //! for the CI `churn-smoke` leg; the report's `oracle:` line is what that
 //! job greps for.
 
-use crate::records::append_trend_records;
 use crate::table::Table;
 use deco_core::session::Session;
 use deco_core::solver::{solve_two_delta_minus_one, SolverConfig};
@@ -347,17 +344,6 @@ pub fn run(rt: &Runtime) -> String {
          work per update where the pipeline re-derives every node's state.",
         total_updates / updates.max(1) as u64,
     );
-
-    append_trend_records(&[
-        (
-            "churn/recolors-per-update-milli",
-            (uniform_recolored * 1000)
-                .checked_div(uniform_updates)
-                .unwrap_or(0),
-        ),
-        ("churn/incremental-ns", inc_wall.as_nanos() as u64),
-        ("churn/fresh-ns", fresh_wall.as_nanos() as u64),
-    ]);
 
     out
 }

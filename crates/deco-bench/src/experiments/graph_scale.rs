@@ -5,11 +5,8 @@
 //!
 //! Size is controlled by `DECO_SCALE_EDGES` (target distinct edge count,
 //! default 100 000; CI's scale-smoke leg pins it, the acceptance run
-//! raises it to 10^6). When `DECO_BENCH_JSON` is set, the build and load
-//! times are appended to the same line-JSON file the criterion shim
-//! writes, so `bench-trend` tracks them across runs.
+//! raises it to 10^6).
 
-use crate::records::append_trend_records;
 use crate::table::Table;
 use deco_engine::protocols::FloodMax;
 use deco_engine::{GraphSpec, IdFlavor, ParallelExecutor, Scenario};
@@ -204,15 +201,6 @@ pub fn run(rt: &Runtime) -> String {
         }
         None => out.push_str("peak-rss-bytes: unavailable on this platform.\n"),
     }
-
-    // Machine-readable trend records (same file the criterion shim appends
-    // to): build/load wall times in nanoseconds.
-    append_trend_records(&[
-        ("graph-scale/build-push", t_push.as_nanos() as u64),
-        ("graph-scale/build-bulk", t_bulk.as_nanos() as u64),
-        ("graph-scale/load-text", t_txt_r.as_nanos() as u64),
-        ("graph-scale/load-snapshot", t_snap_r.as_nanos() as u64),
-    ]);
 
     out
 }

@@ -8,12 +8,12 @@
 //! launched with (`Runtime::from_env()` in the binary) — and single-engine
 //! experiments run on it, attributing their tables to
 //! [`Runtime::descriptor`]. Experiments whose *subject* is an executor
-//! comparison (the `engine-matrix` sweep) construct their own fixed
-//! lineups on top, so their results stay comparable across CI legs.
+//! comparison (`trace-profile`, `graph-scale`'s engine table) construct
+//! their own fixed lineups on top, so their results stay comparable across
+//! CI legs.
 
 pub mod churn;
 pub mod defcol;
-pub mod engine_matrix;
 pub mod fig_partition;
 pub mod fig_slack_walkthrough;
 pub mod fig_virtual;
@@ -49,7 +49,6 @@ pub fn all() -> Vec<(&'static str, Runner)> {
         ("def-col", defcol::run),
         ("linial", linial_exp::run),
         ("related-work", related_work::run),
-        ("engine-matrix", engine_matrix::run),
         ("graph-scale", graph_scale::run),
         ("churn", churn::run),
         ("serve-load", serve_load::run),

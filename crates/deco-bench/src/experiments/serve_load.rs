@@ -3,7 +3,7 @@
 //!
 //! For each fleet size N ∈ {1, 4, 16} the experiment starts a fresh
 //! in-process daemon (serial engine, so the solve work per request is
-//! deterministic and the trend series stay comparable across CI legs)
+//! deterministic and the figures stay comparable across CI legs)
 //! and drives N client threads against it. Every client runs the same
 //! mixed workload the protocol was built for: a batch of one-shot
 //! solves over small random-regular graphs plus one full churn session
@@ -17,11 +17,8 @@
 //! daemon it booted over TCP); queue depth is then the daemon's
 //! lifetime high-water mark, and the engine is whatever the daemon was
 //! started with. `DECO_SERVE_SMOKE=1` shrinks the per-client workload
-//! for the smoke legs. Headline numbers append to `DECO_BENCH_JSON`
-//! (see [`crate::records`]) as `serve-load/rps-n{N}` and
-//! `serve-load/p95-ns-n{N}` so `bench-trend` can gate regressions.
+//! for the smoke legs.
 
-use crate::records::append_trend_records;
 use crate::table::Table;
 use deco_graph::{generators, EdgeId, EdgeUpdate, Graph};
 use deco_runtime::Runtime;
@@ -36,7 +33,7 @@ use std::time::{Duration, Instant};
 /// The fleet sizes the acceptance bar names.
 const FLEETS: [usize; 3] = [1, 4, 16];
 /// Worker threads for the in-process daemon — fixed (not num_cpus) so
-/// rps/latency trends compare across machines and CI legs.
+/// rps/latency figures compare across machines and CI legs.
 const WORKERS: usize = 4;
 /// One-shot solves per client in the standard run.
 const SOLVES_STANDARD: usize = 6;
@@ -251,7 +248,6 @@ pub fn run(rt: &Runtime) -> String {
         "max queue",
         "errors",
     ]);
-    let mut trend: Vec<(String, u64)> = Vec::new();
     for fleet in FLEETS {
         let sweep = run_sweep(fleet, solves, updates, nodes);
         assert_eq!(
@@ -269,11 +265,6 @@ pub fn run(rt: &Runtime) -> String {
             sweep.max_queue_depth.to_string(),
             sweep.errors.to_string(),
         ]);
-        trend.push((format!("serve-load/rps-n{fleet}"), sweep.rps() as u64));
-        trend.push((
-            format!("serve-load/p95-ns-n{fleet}"),
-            sweep.percentile(0.95).as_nanos() as u64,
-        ));
     }
     out.push_str(&t.render());
 
@@ -284,9 +275,6 @@ pub fn run(rt: &Runtime) -> String {
          client, so it includes queue wait — watch p95 diverge from p50 as the \
          fleet outgrows the worker pool.",
     );
-
-    let records: Vec<(&str, u64)> = trend.iter().map(|(n, v)| (n.as_str(), *v)).collect();
-    append_trend_records(&records);
     out
 }
 

@@ -10,6 +10,5 @@
 #![warn(missing_docs)]
 
 pub mod experiments;
-pub mod records;
 pub mod table;
 pub mod workloads;

@@ -81,24 +81,6 @@ pub fn mixed_suite(n: usize, seed: u64) -> Vec<Workload> {
     ]
 }
 
-/// Regular graphs with increasing degree at (roughly) fixed edge count — the
-/// Δ-scaling suite for the headline experiment.
-pub fn degree_sweep(degrees: &[usize], edges_target: usize, seed: u64) -> Vec<Workload> {
-    degrees
-        .iter()
-        .map(|&d| {
-            let mut n = (2 * edges_target / d).max(d + 1);
-            if n * d % 2 == 1 {
-                n += 1;
-            }
-            Workload::new(
-                format!("regular(d={d})"),
-                generators::random_regular(n, d, seed + d as u64),
-            )
-        })
-        .collect()
-}
-
 /// Cycle graphs of increasing size — the `log* n` flatness suite.
 pub fn cycle_sweep(sizes: &[usize]) -> Vec<Workload> {
     sizes
@@ -117,19 +99,6 @@ mod tests {
         assert_eq!(suite.len(), 5);
         for w in &suite {
             assert!(w.graph.num_nodes() > 0, "{} empty", w.name);
-        }
-    }
-
-    #[test]
-    fn degree_sweep_hits_targets() {
-        let suite = degree_sweep(&[4, 8, 16], 512, 2);
-        for (w, &d) in suite.iter().zip([4usize, 8, 16].iter()) {
-            assert_eq!(w.graph.max_degree(), d);
-            let m = w.graph.num_edges();
-            assert!(
-                (256..=1200).contains(&m),
-                "edge count {m} off target for d={d}"
-            );
         }
     }
 

@@ -21,7 +21,7 @@
 
 use crate::defective::defective_palette;
 use crate::solver::space_requirement;
-use deco_local::math::{log_star, next_prime};
+use deco_local::math::next_prime;
 use std::collections::HashMap;
 
 /// Parameters of the exact budget evaluation.
@@ -218,11 +218,6 @@ where
         .find(|&d| a(d as f64) < b(d as f64))
 }
 
-/// `log*₂ x`, re-exported for the experiment harness.
-pub fn log_star_of(x: f64) -> u32 {
-    log_star(x)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -341,10 +336,5 @@ mod tests {
         let r = space_requirement(1 << 20, 1 << 10);
         let upper = 24.0 * harmonic(2 << 10) * 10.0;
         assert!(r <= upper + 1e-9);
-    }
-
-    #[test]
-    fn log_star_reexport() {
-        assert_eq!(log_star_of(65536.0), 4);
     }
 }

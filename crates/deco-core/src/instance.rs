@@ -130,12 +130,6 @@ impl ListInstance {
         &self.lists
     }
 
-    /// Mutable access to the list of edge `e` (for residual updates).
-    #[inline]
-    pub fn list_mut(&mut self, e: EdgeId) -> &mut ColorList {
-        &mut self.lists[e.index()]
-    }
-
     /// Palette size `C`; all list colors are `< C`.
     #[inline]
     pub fn palette(&self) -> u32 {

@@ -4,9 +4,8 @@
 //! objects, canonical field order).
 //!
 //! This is the report half of the serving wire protocol (`deco-serve`
-//! embeds these fields in its response frames), but it stands alone:
-//! experiments can append report lines to artifact files and re-read them
-//! with the same codec, exactly like `DECO_BENCH_JSON` records.
+//! embeds these fields in its response frames), but it stands alone: a
+//! report line written to a file reads back with the same codec.
 //!
 //! A [`RunReport`] is not fully reconstructible from a flat line (the
 //! [`CostNode`](deco_local::CostNode) tree and optional trace metrics are

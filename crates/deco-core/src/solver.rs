@@ -51,7 +51,7 @@
 //! [`SolveStats::slack_fallbacks`].
 
 use crate::instance::ListInstance;
-use crate::lists::{ColorList, SubspacePartition};
+use crate::lists::SubspacePartition;
 use crate::slack;
 use crate::space;
 use deco_algos::{class_elimination, edge_adapter, linial};
@@ -801,12 +801,6 @@ pub fn solve_pipeline(
         cost: solution.cost,
         metrics,
     })
-}
-
-/// Builds the (deg+1)-list instance view of an explicit list set.
-pub fn instance_from_lists(g: &Graph, lists: Vec<Vec<Color>>, palette: u32) -> ListInstance {
-    let lists = lists.into_iter().map(ColorList::new).collect();
-    ListInstance::new_unchecked(g.clone(), lists, palette)
 }
 
 #[cfg(test)]

@@ -90,22 +90,6 @@ impl Builder {
         Ok(())
     }
 
-    /// Adds every `(u, v)` pair from an iterator, stopping at the first
-    /// invalid edge.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Builder::add_edge`].
-    pub fn extend_pairs<I>(&mut self, iter: I) -> Result<(), BuildGraphError>
-    where
-        I: IntoIterator<Item = (usize, usize)>,
-    {
-        for (u, v) in iter {
-            self.add_edge(u, v)?;
-        }
-        Ok(())
-    }
-
     /// Freezes the builder into an immutable [`Graph`] in O(n + m).
     ///
     /// # Errors
@@ -126,9 +110,9 @@ mod tests {
     fn matches_graph_builder_output_exactly() {
         let pairs = [(0usize, 3usize), (1, 2), (3, 1), (0, 2), (4, 0)];
         let mut bulk = Builder::with_capacity(5, pairs.len());
-        bulk.extend_pairs(pairs).unwrap();
         let mut push = GraphBuilder::new(5);
         for (u, v) in pairs {
+            bulk.add_edge(u, v).unwrap();
             push.add_edge(NodeId::from(u), NodeId::from(v));
         }
         assert_eq!(bulk.build().unwrap(), push.build().unwrap());

@@ -127,12 +127,6 @@ impl GraphBuilder {
         self.n
     }
 
-    /// Grows the node count to at least `n`.
-    pub fn ensure_nodes(&mut self, n: usize) -> &mut Self {
-        self.n = self.n.max(n);
-        self
-    }
-
     /// Adds the undirected edge `{u, v}`. Order of endpoints is irrelevant.
     ///
     /// This is the *lenient* path: it accepts anything, and all validation
@@ -161,17 +155,6 @@ impl GraphBuilder {
         let edge = validate_edge(self.n, u, v)?;
         self.edges.push(edge);
         Ok(self)
-    }
-
-    /// Adds every edge from an iterator of endpoint pairs.
-    pub fn extend_edges<I>(&mut self, iter: I) -> &mut Self
-    where
-        I: IntoIterator<Item = (NodeId, NodeId)>,
-    {
-        for (u, v) in iter {
-            self.add_edge(u, v);
-        }
-        self
     }
 
     /// Validates and freezes the builder into an immutable [`Graph`].

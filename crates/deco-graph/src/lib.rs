@@ -5,9 +5,9 @@
 //! subgraphs with provenance, deterministic seeded generators, traversal
 //! utilities, coloring validators, and lightweight I/O.
 //!
-//! Built from scratch (see `DESIGN.md` §6 for why no external graph crate is
-//! used): the coloring algorithms need line graphs, masked edge-degree
-//! queries, and subgraph back-mappings as first-class, cheap operations.
+//! Built from scratch rather than on an external graph crate: the coloring
+//! algorithms need line graphs, masked edge-degree queries, and subgraph
+//! back-mappings as first-class, cheap operations.
 //!
 //! ## Quick tour
 //!

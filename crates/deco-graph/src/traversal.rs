@@ -4,7 +4,7 @@
 //! LOCAL algorithm's output at `v` is a function of the ball `B(v, T)`), and
 //! several tests need connectivity/bipartiteness checks.
 
-use crate::{EdgeId, Graph, NodeId};
+use crate::{Graph, NodeId};
 use std::collections::VecDeque;
 
 /// BFS distances from `source`; unreachable nodes get `usize::MAX`.
@@ -86,19 +86,6 @@ pub fn ball_nodes(g: &Graph, center: NodeId, r: usize) -> Vec<NodeId> {
     g.nodes().filter(|v| dist[v.index()] <= r).collect()
 }
 
-/// The set of edges with both endpoints within distance `r` of `center`.
-///
-/// This is the edge set of the subgraph a node can learn in `r` LOCAL rounds.
-pub fn ball_edges(g: &Graph, center: NodeId, r: usize) -> Vec<EdgeId> {
-    let dist = bfs_distances(g, center);
-    g.edges()
-        .filter(|&e| {
-            let [u, v] = g.endpoints(e);
-            dist[u.index()] <= r && dist[v.index()] <= r
-        })
-        .collect()
-}
-
 /// Diameter of a connected graph; `None` if disconnected or `n == 0`.
 pub fn diameter(g: &Graph) -> Option<usize> {
     if g.num_nodes() == 0 || !is_connected(g) {
@@ -156,7 +143,6 @@ mod tests {
         assert_eq!(ball_nodes(&g, NodeId(3), 0), vec![NodeId(3)]);
         assert_eq!(ball_nodes(&g, NodeId(3), 1).len(), 3);
         assert_eq!(ball_nodes(&g, NodeId(3), 2).len(), 5);
-        assert_eq!(ball_edges(&g, NodeId(3), 1).len(), 2);
     }
 
     #[test]

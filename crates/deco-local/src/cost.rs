@@ -10,9 +10,9 @@
 //!   subinstances — rounds take the maximum.
 //!
 //! Each node optionally carries the *scheduled budget*: the worst-case number
-//! of rounds allotted by the fixed LOCAL schedule (§2 of DESIGN.md). In
-//! faithful mode actual == budget; in practical mode actual ≤ budget is
-//! asserted by tests.
+//! of rounds allotted by the fixed LOCAL schedule. In faithful mode
+//! actual == budget; in practical mode actual ≤ budget is asserted by
+//! tests.
 
 use std::fmt;
 

@@ -17,11 +17,6 @@ pub fn log_star(x: f64) -> u32 {
     k
 }
 
-/// Integer convenience wrapper for [`log_star`].
-pub fn log_star_u(x: u64) -> u32 {
-    log_star(x as f64)
-}
-
 /// The `p`-th harmonic number `H_p = Σ_{i=1..p} 1/i`; `H_0 = 0`.
 pub fn harmonic(p: u64) -> f64 {
     if p < 1_000_000 {
@@ -103,7 +98,6 @@ mod tests {
         assert_eq!(log_star(16.0), 3);
         assert_eq!(log_star(65536.0), 4);
         assert_eq!(log_star(2.0f64.powi(100)), 5);
-        assert_eq!(log_star_u(65536), 4);
     }
 
     #[test]

@@ -30,7 +30,7 @@ fn main() -> ExitCode {
         match TraceEvent::from_jsonl(line) {
             Ok(TraceEvent::Span { .. }) => spans += 1,
             Ok(TraceEvent::Count { .. }) => counts += 1,
-            Ok(TraceEvent::Sample { .. }) | Ok(TraceEvent::SampleSummary { .. }) => samples += 1,
+            Ok(TraceEvent::Sample { .. }) => samples += 1,
             Err(err) => {
                 eprintln!("trace-validate: {path}:{}: {err}", i + 1);
                 return ExitCode::from(1);

@@ -76,9 +76,8 @@ impl std::fmt::Display for Phase {
 }
 
 /// A named quantity: the subject of [`TraceEvent::Count`] (monotone totals,
-/// summed by the aggregator) and of [`TraceEvent::Sample`] /
-/// [`TraceEvent::SampleSummary`] (distributions, merged into
-/// count/sum/min/max).
+/// summed by the aggregator) and of [`TraceEvent::Sample`] (distributions,
+/// merged into count/sum/min/max).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Counter {
     /// Messages delivered by one engine execution.
@@ -154,20 +153,6 @@ pub enum TraceEvent {
         /// The observed value.
         value: u64,
     },
-    /// A pre-aggregated batch of samples (used by engines that tally
-    /// observations in worker-local accumulators and publish once).
-    SampleSummary {
-        /// Which distribution.
-        counter: Counter,
-        /// Number of observations in the batch.
-        count: u64,
-        /// Sum of the observations.
-        sum: u64,
-        /// Minimum observation.
-        min: u64,
-        /// Maximum observation.
-        max: u64,
-    },
 }
 
 impl TraceEvent {
@@ -194,17 +179,6 @@ impl TraceEvent {
             ),
             TraceEvent::Sample { counter, value } => format!(
                 "{{\"ev\":\"sample\",\"counter\":\"{}\",\"value\":{value}}}",
-                counter.as_str()
-            ),
-            TraceEvent::SampleSummary {
-                counter,
-                count,
-                sum,
-                min,
-                max,
-            } => format!(
-                "{{\"ev\":\"sample-summary\",\"counter\":\"{}\",\"count\":{count},\
-                 \"sum\":{sum},\"min\":{min},\"max\":{max}}}",
                 counter.as_str()
             ),
         }
@@ -282,16 +256,6 @@ impl TraceEvent {
                     value: get_u64("value")?,
                 })
             }
-            "sample-summary" => {
-                expect_fields(&["ev", "counter", "count", "sum", "min", "max"])?;
-                Ok(TraceEvent::SampleSummary {
-                    counter: counter_of(get_str("counter")?)?,
-                    count: get_u64("count")?,
-                    sum: get_u64("sum")?,
-                    min: get_u64("min")?,
-                    max: get_u64("max")?,
-                })
-            }
             other => Err(format!("unknown event discriminator {other:?}")),
         }
     }
@@ -333,13 +297,6 @@ mod tests {
             TraceEvent::Sample {
                 counter: Counter::PeakRssBytes,
                 value: 1 << 30,
-            },
-            TraceEvent::SampleSummary {
-                counter: Counter::PeakRssBytes,
-                count: 10,
-                sum: 30,
-                min: 1,
-                max: 5,
             },
         ];
         for ev in events {

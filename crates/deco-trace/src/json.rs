@@ -1,9 +1,8 @@
 //! A minimal codec for flat JSON objects (one nesting level, scalar
 //! values), shared by [`crate::event::TraceEvent::from_jsonl`], the
-//! `bench-trend` tool, the report codec in `deco-core::jsonl`, and the
-//! `deco-serve` wire protocol. The workspace is std-only, and every line
-//! format we produce or consume — trace JSONL, the criterion shim's bench
-//! JSON, report lines, serve frames — is a flat object of
+//! report codec in `deco-core::jsonl`, and the `deco-serve` wire protocol.
+//! The workspace is std-only, and every line format we produce or consume
+//! — trace JSONL, report lines, serve frames — is a flat object of
 //! strings/numbers/bools/null, so a full JSON tree is deliberately out of
 //! scope.
 //!

@@ -235,21 +235,6 @@ pub fn sample(counter: Counter, value: u64) {
     }
 }
 
-/// Emits a [`TraceEvent::SampleSummary`] (skipped when `count == 0`).
-/// No-op when tracing is off.
-#[inline]
-pub fn sample_summary(counter: Counter, count: u64, sum: u64, min: u64, max: u64) {
-    if enabled() && count > 0 {
-        emit(TraceEvent::SampleSummary {
-            counter,
-            count,
-            sum,
-            min,
-            max,
-        });
-    }
-}
-
 /// An in-flight phase measurement; emits a [`TraceEvent::Span`] with its
 /// wall time when dropped. Inert (no clock read) when tracing was off at
 /// construction.
@@ -474,13 +459,13 @@ mod tests {
             let _span = round_span(Phase::Send, 4);
             count(Counter::Messages, 11);
         }
-        sample_summary(Counter::PeakRssBytes, 2, 6, 2, 4);
-        sample_summary(Counter::PeakRssBytes, 0, 0, 0, 0); // ignored
+        sample(Counter::PeakRssBytes, 2);
+        sample(Counter::PeakRssBytes, 4);
         let metrics = scope.finish().expect("tracing on");
         assert_eq!(metrics.counter(Counter::Messages), Some(11));
         let send = metrics.phase(Phase::Send).expect("send span recorded");
         assert_eq!(send.count, 1);
-        // The summary merges with the RSS snapshot `finish` takes.
+        // The samples merge with the RSS snapshot `finish` takes.
         let snapshot = peak_rss_bytes().is_some();
         let rss = metrics.sample(Counter::PeakRssBytes).unwrap();
         assert_eq!((rss.count, rss.min), (2 + u64::from(snapshot), 2));

@@ -138,36 +138,21 @@ impl Aggregator {
                 self.counted[i] = true;
             }
             TraceEvent::Sample { counter, value } => {
-                self.merge_samples(*counter, 1, *value, *value, *value);
-            }
-            TraceEvent::SampleSummary {
-                counter,
-                count,
-                sum,
-                min,
-                max,
-            } => {
-                if *count > 0 {
-                    self.merge_samples(*counter, *count, *sum, *min, *max);
+                let acc = &mut self.samples[counter.index()];
+                if acc.count == 0 {
+                    *acc = SampleAcc {
+                        count: 1,
+                        sum: *value,
+                        min: *value,
+                        max: *value,
+                    };
+                } else {
+                    acc.count += 1;
+                    acc.sum = acc.sum.saturating_add(*value);
+                    acc.min = acc.min.min(*value);
+                    acc.max = acc.max.max(*value);
                 }
             }
-        }
-    }
-
-    fn merge_samples(&mut self, counter: Counter, count: u64, sum: u64, min: u64, max: u64) {
-        let acc = &mut self.samples[counter.index()];
-        if acc.count == 0 {
-            *acc = SampleAcc {
-                count,
-                sum,
-                min,
-                max,
-            };
-        } else {
-            acc.count += count;
-            acc.sum = acc.sum.saturating_add(sum);
-            acc.min = acc.min.min(min);
-            acc.max = acc.max.max(max);
         }
     }
 
@@ -255,12 +240,13 @@ mod tests {
             counter: Counter::PeakRssBytes,
             value: 3,
         });
-        agg.observe(&TraceEvent::SampleSummary {
+        agg.observe(&TraceEvent::Sample {
             counter: Counter::PeakRssBytes,
-            count: 2,
-            sum: 9,
-            min: 1,
-            max: 8,
+            value: 1,
+        });
+        agg.observe(&TraceEvent::Sample {
+            counter: Counter::PeakRssBytes,
+            value: 8,
         });
         let report = agg.report();
         let round = report.phase(Phase::Round).unwrap();
@@ -271,19 +257,6 @@ mod tests {
         let rss = report.sample(Counter::PeakRssBytes).unwrap();
         assert_eq!((rss.count, rss.sum, rss.min, rss.max), (3, 12, 1, 8));
         assert_eq!(rss.mean(), 4.0);
-    }
-
-    #[test]
-    fn empty_sample_summary_is_ignored() {
-        let mut agg = Aggregator::new();
-        agg.observe(&TraceEvent::SampleSummary {
-            counter: Counter::PeakRssBytes,
-            count: 0,
-            sum: 0,
-            min: 0,
-            max: 0,
-        });
-        assert!(agg.report().is_empty());
     }
 
     #[test]

@@ -1,8 +1,6 @@
 //! Rendering of [`MetricsReport`]s into aligned text tables.
 //!
-//! This is the single formatting point the experiments share: per-engine
-//! stat sections and the `trace-profile` cross-engine matrix all render
-//! here, so engine experiments carry no bespoke stat formatting. The
+//! The `trace-profile` experiment's cross-engine matrices render here. The
 //! aligner is internal (deco-trace sits below deco-bench and cannot use its
 //! `Table`).
 
@@ -54,58 +52,6 @@ fn render(rows: &[Vec<String>]) -> String {
         }
     }
     out
-}
-
-/// Renders the per-phase wall-time table of one report.
-pub fn phase_table(report: &MetricsReport) -> String {
-    let mut rows = vec![vec![
-        "phase".to_string(),
-        "spans".to_string(),
-        "total time".to_string(),
-        "mean/span".to_string(),
-    ]];
-    for stat in &report.phases {
-        rows.push(vec![
-            stat.phase.to_string(),
-            stat.count.to_string(),
-            fmt_nanos(stat.total_nanos),
-            fmt_nanos(stat.total_nanos / stat.count.max(1)),
-        ]);
-    }
-    render(&rows)
-}
-
-/// Renders the counter totals and sample distributions of one report.
-pub fn counter_table(report: &MetricsReport) -> String {
-    let mut rows = vec![vec![
-        "counter".to_string(),
-        "total".to_string(),
-        "samples".to_string(),
-        "mean".to_string(),
-        "min".to_string(),
-        "max".to_string(),
-    ]];
-    for stat in &report.counters {
-        rows.push(vec![
-            stat.counter.to_string(),
-            stat.value.to_string(),
-            String::new(),
-            String::new(),
-            String::new(),
-            String::new(),
-        ]);
-    }
-    for stat in &report.samples {
-        rows.push(vec![
-            stat.counter.to_string(),
-            String::new(),
-            stat.count.to_string(),
-            format!("{:.2}", stat.mean()),
-            stat.min.to_string(),
-            stat.max.to_string(),
-        ]);
-    }
-    render(&rows)
 }
 
 /// Renders a cross-engine per-phase wall-time matrix: one row per phase
@@ -198,25 +144,6 @@ mod tests {
         assert_eq!(fmt_nanos(40_000), "40.0 µs");
         assert_eq!(fmt_nanos(12_000_000), "12.0 ms");
         assert_eq!(fmt_nanos(12_000_000_000), "12.00 s");
-    }
-
-    #[test]
-    fn phase_table_lists_each_phase_once() {
-        let table = phase_table(&sample_report());
-        assert!(table.contains("| round"), "{table}");
-        assert!(table.contains("| send"), "{table}");
-        assert!(table.contains("40.0 µs"), "{table}");
-        // Header + separator + 2 phases.
-        assert_eq!(table.lines().count(), 4, "{table}");
-    }
-
-    #[test]
-    fn counter_table_mixes_totals_and_samples() {
-        let table = counter_table(&sample_report());
-        assert!(table.contains("messages"), "{table}");
-        assert!(table.contains("128"), "{table}");
-        assert!(table.contains("peak-rss-bytes"), "{table}");
-        assert!(table.contains("2.50"), "{table}");
     }
 
     #[test]

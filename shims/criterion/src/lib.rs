@@ -11,10 +11,7 @@
 //! It produces honest wall-clock numbers suitable for A/B comparisons within
 //! one run (e.g. engine vs serial runner); it does not do outlier analysis
 //! or regression tracking. Set `DECO_BENCH_MS` to change the per-benchmark
-//! measurement budget (default 300 ms). Set `DECO_BENCH_JSON` to a file
-//! path to additionally append one JSON line per benchmark
-//! (`{"name":…,"mean_ns":…,"min_ns":…,"iters":…}`) — this is what CI's
-//! bench-smoke job uploads as the machine-readable perf artifact.
+//! measurement budget (default 300 ms).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -176,42 +173,6 @@ fn run_benchmark(name: &str, f: &mut dyn FnMut(&mut Bencher)) {
     }
     let mean = total_time / u32::try_from(total_iters.min(u64::from(u32::MAX))).unwrap();
     println!("bench {name:<50} mean {mean:>12?}  min {best:>12?}  ({total_iters} iters)");
-    append_json_record(name, mean, best, total_iters);
-}
-
-/// Appends one machine-readable record to the `DECO_BENCH_JSON` file (one
-/// JSON object per line, so multiple bench binaries can share it). Write
-/// failures are reported, not fatal: a broken artifact path must not fail
-/// the measurement itself.
-fn append_json_record(name: &str, mean: Duration, min: Duration, iters: u64) {
-    let Ok(path) = std::env::var("DECO_BENCH_JSON") else {
-        return;
-    };
-    if path.is_empty() {
-        return;
-    }
-    // The only JSON string in the record is the name; escape the two
-    // characters that could break it (names are ASCII identifiers today).
-    let escaped: String = name
-        .chars()
-        .flat_map(|c| match c {
-            '"' | '\\' => vec!['\\', c],
-            c => vec![c],
-        })
-        .collect();
-    let line = format!(
-        "{{\"name\":\"{escaped}\",\"mean_ns\":{},\"min_ns\":{},\"iters\":{iters}}}\n",
-        mean.as_nanos(),
-        min.as_nanos(),
-    );
-    let written = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(&path)
-        .and_then(|mut f| std::io::Write::write_all(&mut f, line.as_bytes()));
-    if let Err(e) = written {
-        eprintln!("DECO_BENCH_JSON: cannot append to {path}: {e}");
-    }
 }
 
 /// Declares a benchmark group function, mirroring `criterion::criterion_group!`.
@@ -252,30 +213,5 @@ mod tests {
         });
         group.finish();
         assert!(calls > 0);
-    }
-
-    #[test]
-    fn json_records_append_one_line_per_benchmark() {
-        let path = std::env::temp_dir().join(format!(
-            "deco-bench-json-selftest-{}.jsonl",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_file(&path);
-        std::env::set_var("DECO_BENCH_MS", "5");
-        std::env::set_var("DECO_BENCH_JSON", &path);
-        let mut c = Criterion::default();
-        c.bench_function("json-selftest/\"quoted\"", |b| b.iter(|| 1 + 1));
-        std::env::remove_var("DECO_BENCH_JSON");
-        let contents = std::fs::read_to_string(&path).expect("json file written");
-        let _ = std::fs::remove_file(&path);
-        let line = contents
-            .lines()
-            .find(|l| l.contains("json-selftest"))
-            .expect("record for this benchmark");
-        assert!(line.starts_with('{') && line.ends_with('}'), "{line}");
-        assert!(line.contains("\"name\":\"json-selftest/\\\"quoted\\\"\""));
-        assert!(line.contains("\"mean_ns\":"));
-        assert!(line.contains("\"min_ns\":"));
-        assert!(line.contains("\"iters\":"));
     }
 }
