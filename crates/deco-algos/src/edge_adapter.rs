@@ -1,16 +1,18 @@
-//! Running vertex-coloring protocols on the line graph to color edges.
+//! Running vertex-coloring algorithms on the line graph to color edges.
 //!
 //! In the LOCAL model, one round of an algorithm on the line graph `L(G)` is
 //! simulated by a constant number of rounds on `G`: two adjacent edges share
-//! a node, and that node relays. The adapters here run on
-//! [`Network::line`], which reads `L(G)` off `G`'s arrays without building
-//! it, derive unique *edge* identifiers from the endpoints' node identifiers
-//! (every node can compute them locally), and map results back to edges.
+//! a node, and that node relays. The adapter here derives unique *edge*
+//! identifiers from the endpoints' node identifiers (every node can compute
+//! them locally), runs Linial's reduction on `L(G)` with every step decided
+//! at the endpoints ([`linial::color_line_from_initial`]), which is the
+//! relay made explicit, and maps the result back to edges. Neither `L(G)`
+//! nor a line-graph network is built.
 
 use crate::linial;
 use deco_graph::coloring::EdgeColoring;
 use deco_graph::Graph;
-use deco_local::{Network, RunError};
+use deco_local::RunError;
 use deco_runtime::Runtime;
 
 /// Unique edge IDs computable locally from endpoint node IDs: the pairing
@@ -57,18 +59,24 @@ pub struct LinialEdgeResult {
 }
 
 /// Computes an `O(Δ̄²)`-edge coloring of `g` in `O(log* n)` line-graph
-/// rounds by running Linial's protocol on the line view of `g` with
-/// pairing-derived edge IDs, on whatever engine `rt` carries. This is the
-/// "initial edge coloring with X colors" every Section-4 construction of
-/// the paper starts from.
+/// rounds by running Linial's reduction on `L(g)` from pairing-derived
+/// edge IDs, every step decided at the endpoints. This is the "initial
+/// edge coloring with X colors" every Section-4 construction of the paper
+/// starts from. Colors, palette, rounds and messages are those of
+/// [`linial::LinialProtocol`] run on the line view of `g`.
+///
+/// `rt` is unused: no engine runs, so every runtime gives the same result
+/// at the same cost. The parameter keeps the signature every other
+/// algorithm entry point has.
 ///
 /// # Errors
 ///
-/// Propagates [`RunError`] from the executor.
+/// None: the call cannot fail. The `Result` keeps the signature of the
+/// engine-run protocols.
 pub fn linial_edge_coloring(
     g: &Graph,
     node_ids: &[u64],
-    rt: &Runtime,
+    _rt: &Runtime,
 ) -> Result<LinialEdgeResult, RunError> {
     let eids = edge_ids_by_pairing(g, node_ids);
     if g.num_edges() == 0 {
@@ -79,10 +87,9 @@ pub fn linial_edge_coloring(
             messages: 0,
         });
     }
-    let net = Network::line_with_ids(g, eids.clone());
     let bound = node_ids.iter().copied().max().unwrap_or(1);
     let m0 = (bound + 1) * (bound + 1);
-    let res = linial::color_from_initial(&net, eids, m0, rt)?;
+    let res = linial::color_line_from_initial(g, eids, m0);
     Ok(LinialEdgeResult {
         coloring: EdgeColoring::from_complete(res.colors),
         palette: res.palette,

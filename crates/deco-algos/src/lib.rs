@@ -5,7 +5,8 @@
 //! [`deco_local`] runtime:
 //!
 //! * [`linial`] — Linial's `O(Δ²)`-coloring in `O(log* n)` rounds \[Lin87\],
-//!   via polynomial cover-free set families; supplies the paper's initial
+//!   via polynomial cover-free set families; on a line graph each step is
+//!   decided at the endpoints, which supplies the paper's initial
 //!   `X`-edge-coloring through [`edge_adapter::linial_edge_coloring`].
 //! * [`deg2`] — deterministic 3-coloring of disjoint paths/cycles in
 //!   `O(log* X)` rounds (used inside the §4.1 defective edge coloring).

@@ -17,9 +17,21 @@
 //! The schedule (the `(q, d)` pair per round) is computed deterministically
 //! from the globally known `Δ` and ID bound, so every node runs the same
 //! number of rounds — a fixed LOCAL schedule, no termination detection.
+//!
+//! On a line graph `L(G)` the step is decided at the endpoints
+//! ([`color_line_from_initial`]): the neighbourhood of an edge `e = {u, v}`
+//! is two cliques, the other edges at `u` and the other edges at `v`. So
+//! at a point `x`, `e`'s value `p_e(x)` clashes with no neighbour exactly
+//! when it occurs once among the values at `u` and once among those at
+//! `v`. Every vertex counts the values of its incident edges, and each
+//! edge takes the first point at which both counts are 1 — the point
+//! [`reduce_color`] picks from the full inbox. Each tried point costs
+//! `O(m·d)` instead of `O(Σ_v deg(v)²·d)`.
 
 use crate::palette_u64_to_u32;
+use deco_graph::{EdgeId, Graph, NodeId};
 use deco_local::math::next_prime;
+use deco_local::runner::count_execution;
 use deco_local::{Network, NodeCtx, NodeProgram, Protocol, RunError};
 use deco_runtime::Runtime;
 use std::sync::Arc;
@@ -249,42 +261,146 @@ pub struct LinialResult {
 /// Propagates [`RunError`] from the executor (cannot happen with the fixed
 /// schedule unless the schedule itself is wrong).
 pub fn color_from_ids(net: &Network<'_>, rt: &Runtime) -> Result<LinialResult, RunError> {
-    let ids: Vec<u64> = net.ids().to_vec();
-    let m0 = net.max_id() + 1;
-    color_from_initial(net, ids, m0, rt)
-}
-
-/// Runs Linial's reduction on `net` from an explicit proper initial
-/// coloring with palette `m0`, on whatever engine `rt` carries.
-///
-/// # Errors
-///
-/// Propagates [`RunError`] from the executor.
-///
-/// # Panics
-///
-/// Panics (in debug builds) if the initial coloring is improper.
-pub fn color_from_initial(
-    net: &Network<'_>,
-    initial: Vec<u64>,
-    m0: u64,
-    rt: &Runtime,
-) -> Result<LinialResult, RunError> {
-    debug_assert!(
-        initial.iter().all(|&c| c < m0),
-        "initial colors must be < m0"
+    let protocol = LinialProtocol::new(
+        net.ids().to_vec(),
+        net.max_id() + 1,
+        net.max_degree() as u64,
     );
-    let delta = net.max_degree() as u64;
-    let protocol = LinialProtocol::new(initial, m0, delta);
     let sched_rounds = protocol.schedule.rounds();
-    let palette = protocol.schedule.final_palette;
     let outcome = rt.execute(net, &protocol, sched_rounds + 1)?;
     debug_assert_eq!(outcome.rounds, sched_rounds);
     Ok(LinialResult {
         colors: palette_u64_to_u32(&outcome.outputs),
-        palette,
+        palette: protocol.schedule.final_palette,
         rounds: outcome.rounds,
         messages: outcome.messages,
+    })
+}
+
+/// Runs Linial's reduction on the line graph `L(g)` from a proper initial
+/// edge coloring with palette `m0`, every step decided at the endpoints.
+/// Returns what [`LinialProtocol`] returns when an engine runs it on
+/// [`Network::line`] of `g`: the same colors and palette, and the rounds
+/// and messages the runner charges — the schedule's length (0 without
+/// edges), and in every round one message per port of `L(g)`,
+/// `Σ_e (deg(u) + deg(v) − 2)`. Reports the run to the trace layer as an
+/// engine execution does ([`count_execution`]).
+///
+/// # Panics
+///
+/// Panics (in debug builds) if an initial color is not below `m0` or the
+/// initial coloring is improper.
+pub fn color_line_from_initial(g: &Graph, initial: Vec<u64>, m0: u64) -> LinialResult {
+    assert_eq!(initial.len(), g.num_edges(), "one initial color per edge");
+    debug_assert!(
+        initial.iter().all(|&c| c < m0),
+        "initial colors must be < m0"
+    );
+    let schedule = schedule(m0, g.max_edge_degree() as u64);
+    let mut colors = initial;
+    let rounds = if g.num_edges() == 0 {
+        0
+    } else {
+        for &step in schedule.steps.iter() {
+            colors = reduce_line_colors(g, &colors, step);
+        }
+        schedule.rounds()
+    };
+    let ports: u64 = g.edges().map(|e| g.edge_degree(e) as u64).sum();
+    let messages = rounds * ports;
+    count_execution(rounds, messages);
+    LinialResult {
+        colors: palette_u64_to_u32(&colors),
+        palette: schedule.final_palette,
+        rounds,
+        messages,
+    }
+}
+
+/// One Linial reduction step on the line graph `L(g)`, decided at the
+/// endpoints: edge `e` takes `x·q + p_e(x)` for the smallest point `x` at
+/// which its value occurs once among the values of the edges at each of
+/// its endpoints. On a proper coloring that is [`reduce_color`] of `e`'s
+/// color against its line-graph neighbours' colors.
+///
+/// Each point tried evaluates the edges at the endpoints of the edges
+/// still open, once each, and counts their values per endpoint in a
+/// `q`-entry table. Nothing is indexed by node.
+///
+/// # Panics
+///
+/// Panics if some edge finds no conflict-free point, which cannot happen
+/// when `step.q > Δ̄·step.d` and `colors` is a proper edge coloring
+/// (checked in debug builds).
+fn reduce_line_colors(g: &Graph, colors: &[u64], step: ReductionStep) -> Vec<u64> {
+    let (q, d) = (step.q, step.d);
+    let m = g.num_edges();
+    debug_assert!(
+        proper_at_endpoints(g, colors),
+        "input coloring for Linial step must be proper"
+    );
+    let mut next = vec![0u64; m];
+    let mut open: Vec<EdgeId> = g.edges().collect();
+    // The endpoints of the open edges: the only counts a point can settle.
+    let mut hubs: Vec<NodeId> = Vec::with_capacity(2 * m);
+    // `value[f]` is `p_f(point[f])`; `clash[f]` is set once an endpoint of
+    // `f` holds its value twice at the current point.
+    let mut value = vec![0u64; m];
+    let mut point = vec![u64::MAX; m];
+    let mut clash = vec![false; m];
+    let mut count = vec![0u32; q as usize];
+    for x in 0..q {
+        if open.is_empty() {
+            break;
+        }
+        hubs.clear();
+        hubs.extend(open.iter().flat_map(|&e| g.endpoints(e)));
+        hubs.sort_unstable();
+        hubs.dedup();
+        for &u in &hubs {
+            let ports = g.adjacent(u);
+            for a in ports {
+                let f = a.edge.index();
+                if point[f] != x {
+                    value[f] = poly_eval(colors[f], q, d, x);
+                    point[f] = x;
+                }
+                count[value[f] as usize] += 1;
+            }
+            for a in ports {
+                let f = a.edge.index();
+                clash[f] |= count[value[f] as usize] > 1;
+            }
+            for a in ports {
+                count[value[a.edge.index()] as usize] = 0;
+            }
+        }
+        open.retain(|&e| {
+            let i = e.index();
+            if clash[i] {
+                clash[i] = false;
+                true
+            } else {
+                next[i] = x * q + value[i];
+                false
+            }
+        });
+    }
+    assert!(
+        open.is_empty(),
+        "q > Δ·d guarantees a conflict-free evaluation point"
+    );
+    next
+}
+
+/// Whether no two edges sharing an endpoint have the same color.
+fn proper_at_endpoints(g: &Graph, colors: &[u64]) -> bool {
+    let mut at: Vec<u64> = Vec::new();
+    g.nodes().all(|u| {
+        at.clear();
+        at.extend(g.incident_edges(u).map(|f| colors[f.index()]));
+        at.sort_unstable();
+        at.windows(2).all(|w| w[0] != w[1])
     })
 }
 
@@ -392,6 +508,25 @@ mod tests {
                 .len()
                 == 8
         );
+    }
+
+    #[test]
+    fn line_step_is_reduce_color_of_every_edge() {
+        let g = generators::random_regular(30, 5, 4);
+        let colors: Vec<u64> = g.edges().map(|e| 7 * e.index() as u64 + 3).collect();
+        let m0 = 7 * g.num_edges() as u64 + 3;
+        let s = schedule(m0, g.max_edge_degree() as u64);
+        let step = s.steps[0];
+        let inbox = |e: EdgeId| -> Vec<Option<u64>> {
+            g.edge_neighbors(e)
+                .map(|f| Some(colors[f.index()]))
+                .collect()
+        };
+        let expected: Vec<u64> = g
+            .edges()
+            .map(|e| reduce_color(colors[e.index()], &inbox(e), step))
+            .collect();
+        assert_eq!(reduce_line_colors(&g, &colors, step), expected);
     }
 
     #[test]

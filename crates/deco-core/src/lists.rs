@@ -23,13 +23,13 @@ const WORD_BITS: u32 = u64::BITS;
 
 /// The word holding color `c`.
 #[inline]
-fn word_of(c: Color) -> usize {
+pub(crate) fn word_of(c: Color) -> usize {
     (c / WORD_BITS) as usize
 }
 
 /// Color `c`'s bit within its word.
 #[inline]
-fn bit_of(c: Color) -> u64 {
+pub(crate) fn bit_of(c: Color) -> u64 {
     1 << (c % WORD_BITS)
 }
 
@@ -171,6 +171,20 @@ impl ColorList {
         for &c in forbidden {
             self.remove(c);
         }
+    }
+
+    /// The colors of the list set in neither `a` nor `b`, two rows of
+    /// palette bit words in the list's own layout: the list AND-NOT
+    /// `(a | b)`, word by word. A row shorter than the list holds no color
+    /// past its end.
+    pub fn without(&self, a: &[u64], b: &[u64]) -> ColorList {
+        let mut words = self.words.clone();
+        for row in [a, b] {
+            for (bits, &used) in words.iter_mut().zip(row) {
+                *bits &= !used;
+            }
+        }
+        ColorList::from_words(words)
     }
 
     /// Number of colors in `self ∩ [lo, hi)`: a masked popcount over the
@@ -424,6 +438,18 @@ pub fn lemma44_witness(list: &ColorList, partition: &SubspacePartition) -> (usiz
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn without_drops_the_colors_of_both_rows() {
+        let l = ColorList::new(vec![1, 3, 64, 70, 130]);
+        // Color 3 in one row; color 70 in a row that ends before the
+        // list's last word.
+        let (a, b) = ([1 << 3, 0, 0], [0, 1 << 6]);
+        let r = l.without(&a, &b);
+        assert_eq!(r.to_vec(), [1, 64, 130]);
+        assert_eq!(r.len(), 3);
+        assert_eq!(l.without(&[], &[]), l);
+    }
 
     #[test]
     fn list_basics() {

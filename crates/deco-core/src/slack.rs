@@ -23,13 +23,23 @@
 //! class order, as step 2 does: a class's residual lists read the colors
 //! that earlier classes gave its members' neighbors. The cost tree charges
 //! the classes in sequence.
+//!
+//! ## Residual lists at the endpoints
+//!
+//! An edge's line-graph neighbours are the other edges at its two
+//! endpoints, so the colors its colored neighbours use are the colors used
+//! at `u` plus those used at `v`. The sweep keeps one palette bit row per
+//! endpoint and sets a color's bit at both endpoints when a class writes
+//! it back; a member's residual list is its list AND-NOT `(row(u) | row(v))`
+//! ([`ColorList::without`]), with no walk over its `deg(e)` neighbours.
+//! [`residual_after_sweep`] builds its lists the same way.
 
 use crate::defective::{defective_edge_coloring, defective_palette};
 use crate::instance::ListInstance;
-use crate::lists::ColorList;
+use crate::lists::{bit_of, word_of, ColorList};
 use crate::solver::{SolveBranch, SolveError, SolveStats};
 use deco_graph::coloring::Color;
-use deco_graph::{EdgeId, EdgeSubgraph};
+use deco_graph::{EdgeId, EdgeSubgraph, Graph, NodeId};
 use deco_local::CostNode;
 use deco_runtime::Runtime;
 
@@ -74,6 +84,59 @@ pub struct SweepOutcome {
     pub inner_stats: SolveStats,
 }
 
+/// The colors in use at the nodes that carry an edge of one graph: one
+/// palette bit row of `⌈C/64⌉` words per node, in the layout of a
+/// [`ColorList`]. Only nodes with edges get a row, found by binary search
+/// among them once per edge: the graphs of the recursion keep their
+/// parent's whole node set, and most of it carries no edge.
+struct EndpointPalettes {
+    /// Per edge, the row of each endpoint.
+    ends: Vec<[usize; 2]>,
+    /// Words per row.
+    width: usize,
+    rows: Vec<u64>,
+}
+
+impl EndpointPalettes {
+    /// Empty rows for the endpoints of `g`'s edges, over palette `C`.
+    fn new(g: &Graph, palette: u32) -> EndpointPalettes {
+        let mut nodes: Vec<NodeId> = g.edge_list().iter().flatten().copied().collect();
+        nodes.sort_unstable();
+        nodes.dedup();
+        let row = |v: NodeId| nodes.binary_search(&v).expect("an endpoint has a row");
+        let ends = g
+            .edge_list()
+            .iter()
+            .map(|&[u, v]| [row(u), row(v)])
+            .collect();
+        let width = palette.div_ceil(u64::BITS) as usize;
+        EndpointPalettes {
+            ends,
+            width,
+            rows: vec![0; nodes.len() * width],
+        }
+    }
+
+    fn row(&self, r: usize) -> &[u64] {
+        &self.rows[r * self.width..(r + 1) * self.width]
+    }
+
+    /// Records that edge `e` took color `c`: its bit is set at both
+    /// endpoints.
+    fn mark(&mut self, e: EdgeId, c: Color) {
+        debug_assert!(word_of(c) < self.width, "color {c} outside the palette");
+        for r in self.ends[e.index()] {
+            self.rows[r * self.width + word_of(c)] |= bit_of(c);
+        }
+    }
+
+    /// `list` without the colors used at either endpoint of `e`.
+    fn residual(&self, e: EdgeId, list: &ColorList) -> ColorList {
+        let [a, b] = self.ends[e.index()];
+        list.without(self.row(a), self.row(b))
+    }
+}
+
 /// Runs one Lemma 4.2 sweep on `inst` with parameter `beta`, using `inner`
 /// to solve each active class (a slack-β instance), in class order.
 ///
@@ -114,6 +177,7 @@ pub fn sweep(
     }
 
     let mut colors: Vec<Option<Color>> = vec![None; m];
+    let mut used = EndpointPalettes::new(g, inst.palette());
     let mut stats = SweepStats {
         classes_total: u64::from(num_classes),
         min_active_slack: f64::INFINITY,
@@ -131,12 +195,7 @@ pub fn sweep(
         let mut active: Vec<EdgeId> = Vec::new();
         let mut active_lists: Vec<ColorList> = Vec::new();
         for e in members {
-            let mut list = inst.list(e).clone();
-            let used: Vec<Color> = g
-                .edge_neighbors(e)
-                .filter_map(|f| colors[f.index()])
-                .collect();
-            list.remove_all(&used);
+            let list = used.residual(e, inst.list(e));
             if list.len() as f64 > g.edge_degree(e) as f64 / 2.0 {
                 active.push(e);
                 active_lists.push(list);
@@ -149,9 +208,8 @@ pub fn sweep(
             continue;
         }
 
-        let sub = EdgeSubgraph::from_edge_ids(g, &active);
-        let sub_inst =
-            ListInstance::new_unchecked(sub.graph().clone(), active_lists, inst.palette());
+        let (sub_graph, edge_map) = EdgeSubgraph::from_edge_ids(g, &active).into_parts();
+        let sub_inst = ListInstance::new_unchecked(sub_graph, active_lists, inst.palette());
         // Invariant (paper, "Enough slack"): |L′_e| > β·deg′(e).
         for se in sub_inst.graph().edges() {
             let deg_sub = sub_inst.graph().edge_degree(se);
@@ -165,11 +223,7 @@ pub fn sweep(
                 stats.min_active_slack = stats.min_active_slack.min(len as f64 / deg_sub as f64);
             }
         }
-        let sub_x: Vec<u32> = sub
-            .edge_map()
-            .iter()
-            .map(|pe| x_coloring[pe.index()])
-            .collect();
+        let sub_x: Vec<u32> = edge_map.iter().map(|pe| x_coloring[pe.index()]).collect();
         stats.colored += active.len();
 
         // Step 3(c): solve P(Δ̄/2β, β, C) on the active subgraph.
@@ -185,8 +239,9 @@ pub fn sweep(
                 .is_ok(),
             "inner solver returned an invalid coloring"
         );
-        for (idx, &pe) in sub.edge_map().iter().enumerate() {
-            colors[pe.index()] = Some(branch.colors[idx]);
+        for (&pe, &c) in edge_map.iter().zip(&branch.colors) {
+            colors[pe.index()] = Some(c);
+            used.mark(pe, c);
         }
         inner_stats.merge(&branch.stats);
         costs.push(CostNode::seq(
@@ -240,31 +295,27 @@ pub fn residual_after_sweep(
     colors: &[Option<Color>],
 ) -> Residual {
     let g = inst.graph();
-    let open: Vec<EdgeId> = g.edges().filter(|e| colors[e.index()].is_none()).collect();
-    let sub = EdgeSubgraph::from_edge_ids(g, &open);
-    let mut lists = Vec::with_capacity(open.len());
-    for &e in &open {
-        let mut list = inst.list(e).clone();
-        let used: Vec<Color> = g
-            .edge_neighbors(e)
-            .filter_map(|f| colors[f.index()])
-            .collect();
-        list.remove_all(&used);
-        lists.push(list);
+    let mut used = EndpointPalettes::new(g, inst.palette());
+    for (e, c) in g.edges().zip(colors) {
+        if let Some(c) = *c {
+            used.mark(e, c);
+        }
     }
-    let instance = ListInstance::new_unchecked(sub.graph().clone(), lists, inst.palette());
+    let open: Vec<EdgeId> = g.edges().filter(|e| colors[e.index()].is_none()).collect();
+    let lists = open
+        .iter()
+        .map(|&e| used.residual(e, inst.list(e)))
+        .collect();
+    let (graph, edge_map) = EdgeSubgraph::from_edge_ids(g, &open).into_parts();
+    let instance = ListInstance::new_unchecked(graph, lists, inst.palette());
     assert!(
         instance.validate_slack(1.0).is_ok(),
         "residual instance must remain a (deg+1)-list instance"
     );
-    let x_restricted: Vec<u32> = sub
-        .edge_map()
-        .iter()
-        .map(|pe| x_coloring[pe.index()])
-        .collect();
+    let x_restricted: Vec<u32> = edge_map.iter().map(|pe| x_coloring[pe.index()]).collect();
     Residual {
         instance,
-        edge_map: sub.edge_map().to_vec(),
+        edge_map,
         x_coloring: x_restricted,
     }
 }
@@ -383,6 +434,40 @@ mod tests {
         let out = sweep(&inst, &[], 2, 1, &Runtime::serial(), &greedy_inner).unwrap();
         assert_eq!(out.stats.classes_nonempty, 0);
         assert_eq!(out.colors.len(), 0);
+    }
+
+    #[test]
+    fn endpoint_rows_match_the_neighbour_walk_as_classes_color() {
+        use rand::prelude::*;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+        // Nodes 5 and 8 carry no edge and get no row.
+        let g = deco_graph::Graph::from_edges(
+            9,
+            [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 1), (6, 7)],
+        )
+        .unwrap();
+        let palette = 130;
+        let inst = instance::random_deg_plus_one(&g, palette, 3);
+        let mut used = EndpointPalettes::new(&g, palette);
+        let mut colors: Vec<Option<Color>> = vec![None; g.num_edges()];
+        let mut order: Vec<EdgeId> = g.edges().collect();
+        order.shuffle(&mut rng);
+        // Color one edge at a time, as a class writes its colors back, with
+        // colors from the whole palette, its last word included.
+        for e in order {
+            for f in g.edges().filter(|f| colors[f.index()].is_none()) {
+                let mut walk = inst.list(f).clone();
+                let near: Vec<Color> = g
+                    .edge_neighbors(f)
+                    .filter_map(|h| colors[h.index()])
+                    .collect();
+                walk.remove_all(&near);
+                assert_eq!(used.residual(f, inst.list(f)), walk, "edge {f}");
+            }
+            let c = rng.gen_range(0..palette);
+            colors[e.index()] = Some(c);
+            used.mark(e, c);
+        }
     }
 
     #[test]

@@ -60,6 +60,7 @@ use deco_graph::{EdgeId, Graph};
 use deco_local::math::harmonic;
 use deco_local::{CostNode, Network};
 use deco_runtime::Runtime;
+use std::borrow::Cow;
 use std::fmt;
 use std::time::{Duration, Instant};
 
@@ -199,7 +200,7 @@ pub struct SolveStats {
     pub eq2_worst_ratio: f64,
     /// Maximum recursion depth reached.
     pub max_depth_seen: u32,
-    /// Messages delivered by the solve's protocol executions (base-case
+    /// Messages charged by the solve's protocol executions (base-case
     /// Linial runs, defective-coloring conflict-path runs). A sum of
     /// per-run counts that are themselves engine-independent, so the total
     /// is bit-identical on every engine.
@@ -235,12 +236,12 @@ pub struct Solution {
 }
 
 /// The Theorem 4.1 solver, running on a [`Runtime`] that carries whichever
-/// engine executes its message-passing sub-protocols (the Linial base-case
-/// runs, the defective coloring's conflict-path runs). Defaults to the
-/// serial reference runtime; pass an engine-backed [`Runtime`] via
-/// [`Solver::with_runtime`] for large instances and worker-thread
-/// parallelism. No generics: every engine is one arm of the runtime's
-/// `Engine`, and all of them are observationally identical.
+/// engine executes its message-passing sub-protocols (the defective
+/// coloring's conflict-path runs; the base cases decide Linial at the
+/// endpoints and run no engine). Defaults to the serial reference runtime;
+/// pass an engine-backed [`Runtime`] via [`Solver::with_runtime`] for
+/// worker-thread parallelism. No generics: every engine is one arm of the
+/// runtime's `Engine`, and all of them are observationally identical.
 ///
 /// The solver holds no mutable state — all counters live in per-branch
 /// [`SolveStats`] merged in branch order.
@@ -386,10 +387,11 @@ impl Solver {
         }
         let beta = self.beta_for(dbar, inst.palette());
 
-        // Lemma 4.2 loop: sweep, write back, recurse on the residual.
+        // Lemma 4.2 loop: sweep, write back, recurse on the residual. The
+        // first sweep reads the caller's instance and X-coloring in place.
         let mut final_colors: Vec<Option<Color>> = vec![None; m];
-        let mut cur = inst.clone();
-        let mut cur_x = x_coloring.to_vec();
+        let mut cur: Cow<'_, ListInstance> = Cow::Borrowed(inst);
+        let mut cur_x: Cow<'_, [u32]> = Cow::Borrowed(x_coloring);
         let mut map: Vec<EdgeId> = inst.graph().edges().collect();
         let mut costs: Vec<CostNode> = Vec::new();
         loop {
@@ -430,8 +432,8 @@ impl Solver {
                 res.instance.max_edge_degree()
             );
             map = res.edge_map.iter().map(|&le| map[le.index()]).collect();
-            cur = res.instance;
-            cur_x = res.x_coloring;
+            cur = Cow::Owned(res.instance);
+            cur_x = Cow::Owned(res.x_coloring);
         }
         let colors: Vec<Color> = final_colors
             .into_iter()
@@ -587,20 +589,21 @@ impl Solver {
         if g.num_edges() == 0 {
             return (Vec::new(), CostNode::free("empty base case"), 0);
         }
-        // Linial on the line graph from the X-coloring (IDs are unused by
-        // the protocol; the network just needs some for bookkeeping).
-        let net = Network::line(g, deco_local::IdAssignment::Sequential);
+        // Linial on the line graph from the X-coloring, every step decided
+        // at the leaf's endpoints.
         let initial: Vec<u64> = x_coloring.iter().map(|&c| u64::from(c)).collect();
-        let lin = linial::color_from_initial(&net, initial, u64::from(x_palette).max(2), &self.rt)
-            .expect("fixed schedule terminates");
+        let lin = linial::color_line_from_initial(g, initial, u64::from(x_palette).max(2));
         let palette = u32::try_from(lin.palette).expect("constant-degree palettes are small");
         // Class elimination picks each edge's smallest color that no
         // neighbour holds; at most deg(e) colors are held, so that color is
         // always among the list's first deg(e)+1 and the rest never matter.
+        // It reads the neighbours off the line view (IDs are unused; the
+        // network just needs some for bookkeeping).
         let lists: Vec<Vec<Color>> = g
             .edges()
             .map(|e| inst.list(e).iter().take(g.edge_degree(e) + 1).collect())
             .collect();
+        let net = Network::line(g, deco_local::IdAssignment::Sequential);
         let (colors, elim_rounds) =
             class_elimination::list_color_by_classes(&net, &lists, &lin.colors, palette);
         let cost = CostNode::seq(
@@ -738,9 +741,10 @@ pub fn solve_two_delta_minus_one(
 }
 
 /// Solves an arbitrary `(deg(e)+1)`-list instance over `g` end to end on
-/// whatever engine `rt` carries: every message-passing protocol execution
-/// (the initial Linial edge coloring, the solver's base-case and
-/// defective-coloring runs) routes through the runtime's engine.
+/// whatever engine `rt` carries: the defective coloring's conflict-path
+/// runs route through the runtime's engine, while the initial Linial edge
+/// coloring and the base cases' Linial runs are decided at the endpoints
+/// and charge the rounds and messages the protocol would.
 ///
 /// # Errors
 ///

@@ -260,8 +260,8 @@ pub fn reduce_color_space(
             cands.remove_all(&taken);
             lists2.push(cands);
         }
-        let sub2 = EdgeSubgraph::from_edge_ids(g, &e2);
-        let inst2 = ListInstance::new_unchecked(sub2.graph().clone(), lists2, q);
+        let (graph2, _) = EdgeSubgraph::from_edge_ids(g, &e2).into_parts();
+        let inst2 = ListInstance::new_unchecked(graph2, lists2, q);
         inst2
             .validate_slack(1.0)
             .expect("E(2) instance must be a (deg+1)-list instance");
@@ -319,7 +319,7 @@ pub fn reduce_color_space(
             continue;
         }
         let (lo, hi) = partition.range(i);
-        let sub = EdgeSubgraph::from_edge_ids(g, &members);
+        let (graph, edge_map) = EdgeSubgraph::from_edge_ids(g, &members).into_parts();
         let lists: Vec<ColorList> = members
             .iter()
             .map(|&e| {
@@ -332,13 +332,13 @@ pub fn reduce_color_space(
                 )
             })
             .collect();
-        let instance = ListInstance::new_unchecked(sub.graph().clone(), lists, hi - lo);
+        let instance = ListInstance::new_unchecked(graph, lists, hi - lo);
         let x_sub: Vec<u32> = members.iter().map(|&e| x_coloring[e.index()]).collect();
         sub_instances.push(SubInstance {
             subspace: i,
             instance,
             color_offset: lo,
-            edge_map: sub.edge_map().to_vec(),
+            edge_map,
             x_coloring: x_sub,
         });
     }

@@ -144,10 +144,7 @@ impl ParallelExecutor {
             drop(round_span);
         }
 
-        if deco_trace::enabled() {
-            deco_trace::count(deco_trace::Counter::Messages, messages);
-            deco_trace::count(deco_trace::Counter::Rounds, rounds);
-        }
+        deco_local::runner::count_execution(rounds, messages);
 
         Ok(RunOutcome {
             outputs: outputs

@@ -89,6 +89,12 @@ impl EdgeSubgraph {
     pub fn edge_map(&self) -> &[EdgeId] {
         &self.to_parent
     }
+
+    /// Takes the subgraph apart without copying: the materialized graph
+    /// and the sub→parent edge mapping.
+    pub fn into_parts(self) -> (Graph, Vec<EdgeId>) {
+        (self.graph, self.to_parent)
+    }
 }
 
 /// Degree of `e` counted only against neighbors inside `mask`

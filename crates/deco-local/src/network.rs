@@ -9,8 +9,11 @@
 //! the fly from `G`'s arrays ([`Network::line`]). Node `e = {u, v}` (`u < v`)
 //! of the line view has `deg(u) + deg(v) − 2` ports: first `adj(u) ∖ e`,
 //! then `adj(v) ∖ e`, the order `LineGraph::of` assigns. One round on `L(G)`
-//! costs `O(1)` rounds on `G` (a shared endpoint relays), so the view is
-//! what the paper runs, without the `Θ(Σ_v deg(v)²)` graph.
+//! costs `O(1)` rounds on `G` (a shared endpoint relays), and the view runs
+//! a line-graph protocol port by port without the `Θ(Σ_v deg(v)²)` graph:
+//! the base case's class elimination, the related-work protocols, and the
+//! oracle that Linial decided at the endpoints
+//! (`deco_algos::linial::color_line_from_initial`) is held to.
 
 use deco_graph::hashing::DetHashSet;
 use deco_graph::{Adjacent, EdgeId, Graph, NodeId};
@@ -142,11 +145,12 @@ impl<'g> Network<'g> {
     fn with_cached(topology: Topology<'g>, ids: Vec<u64>) -> Network<'g> {
         let (max_degree, num_ports) = match topology {
             Topology::Graph(g) => (g.max_degree(), g.degree_sum()),
+            // `Σ_e (deg(u) + deg(v) − 2)`, which is `Σ_v deg(v)(deg(v) − 1)`
+            // summed over edges: the solver's leaves keep their parent's
+            // whole node set, and few of those nodes carry an edge.
             Topology::Line(g) => (
                 g.max_edge_degree(),
-                g.nodes()
-                    .map(|v| g.degree(v) * g.degree(v).saturating_sub(1))
-                    .sum(),
+                g.edges().map(|e| g.edge_degree(e)).sum(),
             ),
         };
         let max_id = ids.iter().copied().max().unwrap_or(1);

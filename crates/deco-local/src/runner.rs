@@ -166,10 +166,7 @@ pub fn run<P: Protocol>(
         drop(round_span);
     }
 
-    if deco_trace::enabled() {
-        deco_trace::count(deco_trace::Counter::Messages, messages);
-        deco_trace::count(deco_trace::Counter::Rounds, rounds);
-    }
+    count_execution(rounds, messages);
 
     Ok(RunOutcome {
         outputs: outputs
@@ -179,6 +176,20 @@ pub fn run<P: Protocol>(
         rounds,
         messages,
     })
+}
+
+/// Reports one finished execution to the trace layer: one
+/// [`Messages`](deco_trace::Counter::Messages) count and one
+/// [`Rounds`](deco_trace::Counter::Rounds) count, nothing while tracing is
+/// off. Every execution of a protocol calls this exactly once, whether an
+/// engine ran it or its nodes' decisions were computed directly (Linial on
+/// a line graph, decided at the endpoints), so the traced counters add up
+/// to the reported totals.
+pub fn count_execution(rounds: u64, messages: u64) {
+    if deco_trace::enabled() {
+        deco_trace::count(deco_trace::Counter::Messages, messages);
+        deco_trace::count(deco_trace::Counter::Rounds, rounds);
+    }
 }
 
 #[cfg(test)]
