@@ -14,11 +14,16 @@
 //! the degree is constant, `X = O(1)` classes suffice after an `O(log* n)`
 //! initial coloring.
 //!
-//! Two interchangeable implementations:
-//! * [`ByClassesProtocol`] — faithful message passing (used by tests),
-//! * [`list_color_by_classes`] — a centralized sweep producing *identical*
-//!   output with the same round charge (used at scale).
+//! Two implementations with identical output and round charge:
+//! * [`list_color_by_classes`] — edge coloring of a graph `G`, decided at
+//!   the endpoints: `H` is the line graph, and an edge's neighbours in it
+//!   are the other edges at its two endpoints ([`Graph::edge_neighbors`]).
+//!   The solver's base case and the related-work baseline run it; `L(G)`
+//!   is never built.
+//! * [`ByClassesProtocol`] — faithful message passing on any network. On
+//!   `LineGraph::of(g)` it is the oracle the endpoint sweep is held to.
 
+use deco_graph::{EdgeId, Graph};
 use deco_local::{Network, NodeCtx, NodeProgram, Protocol, RunError};
 use deco_runtime::Runtime;
 use std::collections::HashSet;
@@ -31,61 +36,63 @@ pub fn find_list_too_small(h: &Network<'_>, lists: &[Vec<u32>]) -> Option<usize>
     (0..h.num_nodes()).find(|&v| lists[v].len() <= h.degree(v.into()))
 }
 
-/// Centralized sweep equivalent of [`ByClassesProtocol`].
+/// List edge coloring of `g` by class sweep: what [`ByClassesProtocol`]
+/// computes on the line graph of `g`, decided at the endpoints.
 ///
-/// Processes initial classes in increasing order; each node picks the
-/// smallest color in its list unused by already-finalized neighbors. Charges
-/// `num_classes` rounds (each class costs one synchronous round in the
-/// message-passing version, whether or not it is empty — nodes cannot know).
+/// Processes the edges in class order (edge order within a class); each
+/// edge takes the first color in its list that no already-colored edge at
+/// either endpoint holds. Charges `num_classes` rounds (each class costs
+/// one synchronous round in the message-passing version, whether or not it
+/// is empty — nodes cannot know).
 ///
 /// # Panics
 ///
-/// Panics if some list is not larger than the node's degree, or if `initial`
-/// is not a proper coloring with values `< num_classes`.
+/// Panics if some list is not larger than its edge's degree, or if
+/// `initial` is not a proper edge coloring with values `< num_classes`.
 pub fn list_color_by_classes(
-    h: &Network<'_>,
+    g: &Graph,
     lists: &[Vec<u32>],
     initial: &[u32],
     num_classes: u32,
 ) -> (Vec<u32>, u64) {
-    assert_eq!(lists.len(), h.num_nodes());
-    assert_eq!(initial.len(), h.num_nodes());
+    assert_eq!(lists.len(), g.num_edges());
+    assert_eq!(initial.len(), g.num_edges());
     assert!(
-        find_list_too_small(h, lists).is_none(),
-        "every list must exceed the node's degree"
+        g.edges().all(|e| lists[e.index()].len() > g.edge_degree(e)),
+        "every list must exceed the edge's degree"
     );
     assert!(
         initial.iter().all(|&c| c < num_classes),
         "initial colors must be < num_classes"
     );
 
-    // Nodes sorted by class; stable order within a class is irrelevant for
-    // correctness (classes are independent sets) but we keep node order for
+    // Edges sorted by class; stable order within a class is irrelevant for
+    // correctness (classes are independent sets) but we keep edge order for
     // determinism.
-    let mut order: Vec<usize> = (0..h.num_nodes()).collect();
-    order.sort_by_key(|&v| initial[v]);
+    let mut order: Vec<usize> = (0..g.num_edges()).collect();
+    order.sort_by_key(|&e| initial[e]);
 
-    let mut colors: Vec<Option<u32>> = vec![None; h.num_nodes()];
+    let mut colors: Vec<Option<u32>> = vec![None; g.num_edges()];
     let mut forbidden: HashSet<u32> = HashSet::new();
-    for &v in &order {
-        let vid = deco_graph::NodeId::from(v);
+    for &e in &order {
+        let neighbours = || g.edge_neighbors(EdgeId::from(e));
         forbidden.clear();
-        forbidden.extend(h.neighbors(vid).filter_map(|w| colors[w.index()]));
+        forbidden.extend(neighbours().filter_map(|f| colors[f.index()]));
         debug_assert!(
-            h.neighbors(vid).all(|w| initial[w.index()] != initial[v]),
+            neighbours().all(|f| initial[f.index()] != initial[e]),
             "initial coloring must be proper"
         );
-        let pick = lists[v]
+        let pick = lists[e]
             .iter()
             .copied()
             .find(|c| !forbidden.contains(c))
             .expect("list larger than degree always has a free color");
-        colors[v] = Some(pick);
+        colors[e] = Some(pick);
     }
     (
         colors
             .into_iter()
-            .map(|c| c.expect("all nodes colored"))
+            .map(|c| c.expect("all edges colored"))
             .collect(),
         u64::from(num_classes),
     )
@@ -196,23 +203,20 @@ pub fn list_color_by_classes_mp(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use deco_graph::{coloring, generators, Graph};
+    use deco_graph::coloring::{self, EdgeColoring};
+    use deco_graph::{generators, LineGraph};
     use deco_local::IdAssignment;
     use rand::prelude::*;
     use rand::rngs::StdRng;
 
-    fn net(g: &Graph) -> Network<'_> {
-        Network::new(g, IdAssignment::Sequential)
-    }
-
-    /// Random (deg+1)-lists over palette `c_max`, plus a proper initial
-    /// coloring (greedy by index — fine for tests).
-    fn random_instance(h: &Graph, c_max: u32, seed: u64) -> (Vec<Vec<u32>>, Vec<u32>, u32) {
+    /// Random (deg(e)+1)-lists over palette `c_max`, plus a proper initial
+    /// edge coloring (greedy by edge index — fine for tests).
+    fn random_instance(g: &Graph, c_max: u32, seed: u64) -> (Vec<Vec<u32>>, Vec<u32>, u32) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let lists = h
-            .nodes()
-            .map(|v| {
-                let need = h.degree(v) + 1;
+        let lists = g
+            .edges()
+            .map(|e| {
+                let need = g.edge_degree(e) + 1;
                 let mut all: Vec<u32> = (0..c_max.max(need as u32)).collect();
                 all.shuffle(&mut rng);
                 let mut l: Vec<u32> = all.into_iter().take(need).collect();
@@ -220,28 +224,35 @@ mod tests {
                 l
             })
             .collect();
-        // Greedy proper initial coloring with ≤ Δ+1 classes.
-        let mut initial = vec![u32::MAX; h.num_nodes()];
-        for v in h.nodes() {
-            let used: HashSet<u32> = h.neighbors(v).map(|w| initial[w.index()]).collect();
-            initial[v.index()] = (0..).find(|c| !used.contains(c)).unwrap();
+        // Greedy proper initial edge coloring with ≤ Δ̄+1 classes.
+        let mut initial = vec![u32::MAX; g.num_edges()];
+        for e in g.edges() {
+            let used: HashSet<u32> = g.edge_neighbors(e).map(|f| initial[f.index()]).collect();
+            initial[e.index()] = (0..).find(|c| !used.contains(c)).unwrap();
         }
         let num_classes = initial.iter().max().copied().unwrap_or(0) + 1;
         (lists, initial, num_classes)
     }
 
+    fn graphs() -> Vec<Graph> {
+        vec![
+            generators::random_regular(40, 5, 1),
+            generators::gnp(60, 0.1, 2),
+            generators::complete(7),
+            generators::star(6),
+            Graph::from_edges(9, [(1, 3), (3, 4), (4, 1), (4, 7), (6, 8)]).unwrap(),
+        ]
+    }
+
     #[test]
     fn centralized_sweep_is_proper_and_in_list() {
-        for (g, seed) in [
-            (generators::random_regular(40, 5, 1), 11u64),
-            (generators::gnp(60, 0.1, 2), 12),
-            (generators::complete(7), 13),
-        ] {
-            let (lists, initial, k) = random_instance(&g, 64, seed);
-            let (colors, rounds) = list_color_by_classes(&net(&g), &lists, &initial, k);
-            coloring::check_vertex_coloring(&g, &colors).expect("proper");
-            for v in g.nodes() {
-                assert!(lists[v.index()].contains(&colors[v.index()]));
+        for (seed, g) in graphs().into_iter().enumerate() {
+            let (lists, initial, k) = random_instance(&g, 64, seed as u64);
+            let (colors, rounds) = list_color_by_classes(&g, &lists, &initial, k);
+            let coloring = EdgeColoring::from_complete(colors.clone());
+            coloring::check_edge_coloring(&g, &coloring).expect("proper");
+            for e in g.edges() {
+                assert!(lists[e.index()].contains(&colors[e.index()]));
             }
             assert_eq!(rounds, u64::from(k));
         }
@@ -249,74 +260,77 @@ mod tests {
 
     #[test]
     fn first_deg_plus_one_colors_decide_the_coloring() {
-        // Each node picks its smallest color that no finalized neighbour
-        // holds; at most deg(v) are held, so that color is among the list's
-        // first deg(v)+1 and cutting every list there changes nothing.
+        // Each edge picks its smallest color that no finalized neighbour
+        // holds; at most deg(e) are held, so that color is among the list's
+        // first deg(e)+1 and cutting every list there changes nothing.
         for seed in 0..24u64 {
             let mut rng = StdRng::seed_from_u64(seed);
-            let g = generators::gnp(40, 0.2, seed);
+            let g = generators::gnp(30, 0.15, seed);
             let (_, initial, k) = random_instance(&g, 8, seed);
-            let c_max = 3 * g.max_degree() as u32 + 8;
+            let c_max = 3 * g.max_edge_degree() as u32 + 8;
             let full: Vec<Vec<u32>> = g
-                .nodes()
-                .map(|v| {
+                .edges()
+                .map(|e| {
                     let mut all: Vec<u32> = (0..c_max).collect();
                     all.shuffle(&mut rng);
-                    all.truncate(rng.gen_range(g.degree(v) + 1..=c_max as usize));
+                    all.truncate(rng.gen_range(g.edge_degree(e) + 1..=c_max as usize));
                     all.sort_unstable();
                     all
                 })
                 .collect();
             let cut: Vec<Vec<u32>> = g
-                .nodes()
-                .map(|v| full[v.index()][..=g.degree(v)].to_vec())
+                .edges()
+                .map(|e| full[e.index()][..=g.edge_degree(e)].to_vec())
                 .collect();
             assert_eq!(
-                list_color_by_classes(&net(&g), &full, &initial, k),
-                list_color_by_classes(&net(&g), &cut, &initial, k),
+                list_color_by_classes(&g, &full, &initial, k),
+                list_color_by_classes(&g, &cut, &initial, k),
                 "seed {seed}"
             );
         }
     }
 
     #[test]
-    fn message_passing_matches_centralized() {
-        let g = generators::random_regular(30, 4, 7);
-        let (lists, initial, k) = random_instance(&g, 32, 21);
-        let (fast, _) = list_color_by_classes(&net(&g), &lists, &initial, k);
-        let net = Network::new(&g, IdAssignment::Shuffled(3));
-        let (mp, rounds) =
-            list_color_by_classes_mp(&net, lists.clone(), initial.clone(), k, &Runtime::serial())
-                .unwrap();
-        assert_eq!(fast, mp, "centralized sweep must equal the distributed run");
-        assert_eq!(rounds, u64::from(k) + 1);
+    fn message_passing_on_the_line_graph_matches_the_endpoint_sweep() {
+        for (seed, g) in graphs().into_iter().enumerate() {
+            let (lists, initial, k) = random_instance(&g, 32, 21 + seed as u64);
+            let (fast, _) = list_color_by_classes(&g, &lists, &initial, k);
+            let lg = LineGraph::of(&g);
+            let net = Network::new(lg.graph(), IdAssignment::Shuffled(3));
+            let (mp, rounds) =
+                list_color_by_classes_mp(&net, lists, initial, k, &Runtime::serial()).unwrap();
+            assert_eq!(
+                fast, mp,
+                "graph {seed}: the endpoint sweep must equal the protocol"
+            );
+            assert_eq!(rounds, u64::from(k) + 1);
+        }
     }
 
     #[test]
     fn works_with_tight_lists() {
-        // Exactly deg+1 colors everywhere, shared palette: classic greedy case.
-        let g = generators::complete(5);
-        let lists: Vec<Vec<u32>> = g.nodes().map(|_| (0..5).collect()).collect();
+        // Exactly deg(e)+1 colors everywhere, shared palette: all five edges
+        // of a star meet at the center, so they take five distinct colors.
+        let g = generators::star(5);
+        let lists: Vec<Vec<u32>> = g.edges().map(|_| (0..5).collect()).collect();
         let initial: Vec<u32> = (0..5).collect();
-        let (colors, _) = list_color_by_classes(&net(&g), &lists, &initial, 5);
-        coloring::check_vertex_coloring(&g, &colors).expect("proper");
+        let (colors, _) = list_color_by_classes(&g, &lists, &initial, 5);
+        coloring::check_edge_coloring(&g, &EdgeColoring::from_complete(colors)).expect("proper");
     }
 
     #[test]
-    #[should_panic(expected = "exceed the node's degree")]
+    #[should_panic(expected = "exceed the edge's degree")]
     fn rejects_small_lists() {
-        let g = generators::complete(4);
-        let lists: Vec<Vec<u32>> = g.nodes().map(|_| vec![0, 1]).collect();
+        let g = generators::star(4);
+        let lists: Vec<Vec<u32>> = g.edges().map(|_| vec![0, 1]).collect();
         let initial: Vec<u32> = (0..4).collect();
-        let _ = list_color_by_classes(&net(&g), &lists, &initial, 4);
+        let _ = list_color_by_classes(&g, &lists, &initial, 4);
     }
 
     #[test]
-    fn empty_graph_zero_classes() {
-        let g = Graph::empty(3);
-        let lists: Vec<Vec<u32>> = vec![vec![0]; 3];
-        let (colors, rounds) = list_color_by_classes(&net(&g), &lists, &[0, 0, 0], 1);
-        assert_eq!(colors, vec![0, 0, 0]);
+    fn edgeless_graph_still_charges_its_classes() {
+        let (colors, rounds) = list_color_by_classes(&Graph::empty(3), &[], &[], 1);
+        assert!(colors.is_empty());
         assert_eq!(rounds, 1);
     }
 }

@@ -6,8 +6,8 @@
 //! identifiers from the endpoints' node identifiers (every node can compute
 //! them locally), runs Linial's reduction on `L(G)` with every step decided
 //! at the endpoints ([`linial::color_line_from_initial`]), which is the
-//! relay made explicit, and maps the result back to edges. Neither `L(G)`
-//! nor a line-graph network is built.
+//! relay made explicit, and maps the result back to edges. `L(G)` is never
+//! built.
 
 use crate::linial;
 use deco_graph::coloring::EdgeColoring;
@@ -63,7 +63,7 @@ pub struct LinialEdgeResult {
 /// edge IDs, every step decided at the endpoints. This is the "initial
 /// edge coloring with X colors" every Section-4 construction of the paper
 /// starts from. Colors, palette, rounds and messages are those of
-/// [`linial::LinialProtocol`] run on the line view of `g`.
+/// [`linial::LinialProtocol`] run on `LineGraph::of(g)`.
 ///
 /// `rt` is unused: no engine runs, so every runtime gives the same result
 /// at the same cost. The parameter keeps the signature every other

@@ -280,7 +280,7 @@ pub fn color_from_ids(net: &Network<'_>, rt: &Runtime) -> Result<LinialResult, R
 /// Runs Linial's reduction on the line graph `L(g)` from a proper initial
 /// edge coloring with palette `m0`, every step decided at the endpoints.
 /// Returns what [`LinialProtocol`] returns when an engine runs it on
-/// [`Network::line`] of `g`: the same colors and palette, and the rounds
+/// `LineGraph::of(g)`: the same colors and palette, and the rounds
 /// and messages the runner charges — the schedule's length (0 without
 /// edges), and in every round one message per port of `L(g)`,
 /// `Σ_e (deg(u) + deg(v) − 2)`. Reports the run to the trace layer as an

@@ -34,9 +34,10 @@ fn bench_luby(c: &mut Criterion) {
     let g = generators::random_regular(512, 8, 17);
     let bound = (2 * g.max_degree() - 1) as u32;
     let lists: Vec<Vec<u32>> = g.edges().map(|_| (0..bound).collect()).collect();
+    let lg = LineGraph::of(&g);
     group.bench_function("regular(512,8)", |b| {
         b.iter(|| {
-            let net = Network::line(&g, IdAssignment::Shuffled(3));
+            let net = Network::new(lg.graph(), IdAssignment::Shuffled(3));
             luby::luby_list_coloring(&net, lists.clone(), 7, &Runtime::serial())
                 .expect("terminates")
                 .rounds
@@ -47,7 +48,6 @@ fn bench_luby(c: &mut Criterion) {
 
 fn bench_class_elimination(c: &mut Criterion) {
     let g = generators::random_regular(512, 8, 19);
-    let net = Network::line(&g, IdAssignment::Sequential);
     let x = edge_adapter::linial_edge_coloring(&g, &ids(g.num_nodes()), &Runtime::serial())
         .expect("terminates");
     let initial: Vec<u32> = g.edges().map(|e| x.coloring.get(e).unwrap()).collect();
@@ -55,7 +55,7 @@ fn bench_class_elimination(c: &mut Criterion) {
     let lists: Vec<Vec<u32>> = g.edges().map(|_| (0..bound).collect()).collect();
     c.bench_function("class-elimination regular(512,8)", |b| {
         b.iter(|| {
-            class_elimination::list_color_by_classes(&net, &lists, &initial, x.palette as u32).1
+            class_elimination::list_color_by_classes(&g, &lists, &initial, x.palette as u32).1
         });
     });
 }

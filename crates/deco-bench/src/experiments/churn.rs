@@ -10,8 +10,7 @@
 //!
 //! * the live coloring is complete and proper on the current snapshot,
 //! * the palette stays within the `2Δ − 1` bound of the current graph —
-//!   the same bound a fresh solve of that graph guarantees,
-//! * the repair never escalates to a re-solve (provable at the true bound).
+//!   the same bound a fresh solve of that graph guarantees.
 //!
 //! At the end of each trace a fresh pipeline solve of the final graph runs
 //! for the differential wall-clock comparison: recolors-per-update vs the
@@ -185,13 +184,6 @@ fn run_trace(
                 kind.label()
             ));
         }
-        if session.resolves() > 0 {
-            return Err(format!(
-                "{}/{}: escalated to a full re-solve at the true bound",
-                scenario.name,
-                kind.label()
-            ));
-        }
     }
 
     // Differential timing: a fresh pipeline solve of the final graph.
@@ -316,7 +308,7 @@ pub fn run(rt: &Runtime) -> String {
         let _ = writeln!(
             out,
             "oracle: OK — {total_updates} updates oracle-checked (proper after \
-             each, palette within the fresh solve's 2Δ−1 bound, zero re-solves); \
+             each, palette within the fresh solve's 2Δ−1 bound); \
              uniform traces recolored {avg_recolors:.2} edges/update vs \
              {avg_nodes:.0} nodes a fresh solve touches.",
         );

@@ -1,7 +1,7 @@
-//! `graph-scale` — the million-edge substrate end to end: bulk CSR build
-//! vs per-edge insertion, binary snapshot load vs text parse, the serial
-//! and barrier engines' wall clock on a Kronecker graph, the solver
-//! pipeline at scale, and the process's peak RSS.
+//! `graph-scale` — the million-edge substrate end to end: Kronecker
+//! generation, binary snapshot load vs text parse, the serial and barrier
+//! engines' wall clock on a Kronecker graph, the solver pipeline at scale,
+//! and the process's peak RSS.
 //!
 //! Size is controlled by `DECO_SCALE_EDGES` (target distinct edge count,
 //! default 100 000; CI's scale-smoke leg pins it, the acceptance run
@@ -10,7 +10,7 @@
 use crate::table::Table;
 use deco_engine::protocols::FloodMax;
 use deco_engine::{GraphSpec, IdFlavor, ParallelExecutor, Scenario};
-use deco_graph::{generators, io, Builder, GraphBuilder, NodeId};
+use deco_graph::{generators, io};
 use deco_local::runner;
 use deco_runtime::Runtime;
 use std::fmt::Write as _;
@@ -45,14 +45,8 @@ pub fn run(rt: &Runtime) -> String {
     let scale = (target / EDGE_FACTOR).max(2).ilog2();
     let mut out = String::from("# graph-scale — million-edge substrate\n\n");
 
-    // Part 1: generate, then rebuild the same edge set through both
-    // construction paths.
+    // Part 1: generate.
     let (t_gen, g) = time(|| generators::kronecker(scale, EDGE_FACTOR, 42));
-    let pairs: Vec<(usize, usize)> = g
-        .edge_list()
-        .iter()
-        .map(|[u, v]| (u.index(), v.index()))
-        .collect();
     let n = g.num_nodes();
     let m = g.num_edges();
     let _ = writeln!(
@@ -62,45 +56,6 @@ pub fn run(rt: &Runtime) -> String {
          generated in {t_gen:.1?}.\n",
         target,
         g.max_degree(),
-    );
-
-    out.push_str("## build: per-edge insertion vs bulk CSR assembly\n\n");
-    let (t_push, g_push) = time(|| {
-        let mut b = GraphBuilder::new(n);
-        for &(u, v) in &pairs {
-            b.add_edge(NodeId::from(u), NodeId::from(v));
-        }
-        b.build().expect("valid edge set")
-    });
-    let (t_bulk, g_bulk) = time(|| {
-        let mut b = Builder::with_capacity(n, pairs.len());
-        for &(u, v) in &pairs {
-            b.add_edge(u, v).expect("edges are simple");
-        }
-        b.build().expect("valid edge set")
-    });
-    assert_eq!(
-        g_push.edge_list(),
-        g_bulk.edge_list(),
-        "same CSR either way"
-    );
-    let mut t = Table::new(["path", "time", "edges/s"]);
-    t.row([
-        "per-edge GraphBuilder".into(),
-        format!("{t_push:.1?}"),
-        rate(m, t_push),
-    ]);
-    t.row([
-        "bulk Builder".into(),
-        format!("{t_bulk:.1?}"),
-        rate(m, t_bulk),
-    ]);
-    out.push_str(&t.render());
-    let _ = writeln!(
-        out,
-        "\nBoth paths produce identical CSR (asserted); the bulk builder runs \
-         degree-count → prefix-sum → scatter in O(n+m), {:.2}x the per-edge path here.\n",
-        t_push.as_secs_f64() / t_bulk.as_secs_f64(),
     );
 
     // Part 2: text round-trip vs binary snapshot round-trip.
@@ -221,11 +176,10 @@ fn time<T>(f: impl FnOnce() -> T) -> (std::time::Duration, T) {
 #[cfg(test)]
 mod tests {
     #[test]
-    fn report_covers_build_load_engines_and_memory() {
+    fn report_covers_load_engines_and_memory() {
         // Shrink the workload so the debug-mode test stays fast.
         std::env::set_var("DECO_SCALE_EDGES", "4000");
         let r = super::run(&deco_runtime::Runtime::serial());
-        assert!(r.contains("bulk Builder"));
         assert!(r.contains("snapshot v1"));
         assert!(r.contains("engine lineup"));
         assert!(r.contains("solver pipeline"));

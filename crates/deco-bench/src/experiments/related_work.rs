@@ -6,7 +6,7 @@ use crate::table::Table;
 use crate::workloads::ids_for;
 use deco_algos::{class_elimination, edge_adapter, greedy, luby};
 use deco_core::solver::{solve_two_delta_minus_one, SolverConfig, Strategy};
-use deco_graph::{generators, Graph};
+use deco_graph::{generators, Graph, LineGraph};
 use deco_local::{IdAssignment, Network};
 use deco_runtime::Runtime;
 use std::fmt::Write as _;
@@ -81,11 +81,10 @@ pub fn run(rt: &Runtime) -> String {
         // Linial + class elimination: O(Δ̄² + log* n).
         {
             let x = edge_adapter::linial_edge_coloring(g, &ids_for(g), rt).expect("linial");
-            let net = Network::line(g, IdAssignment::Sequential);
             let initial: Vec<u32> = g.edges().map(|e| x.coloring.get(e).unwrap()).collect();
             let lists = full_palette_lists(bound, g.num_edges());
             let (colors, rounds) =
-                class_elimination::list_color_by_classes(&net, &lists, &initial, x.palette as u32);
+                class_elimination::list_color_by_classes(g, &lists, &initial, x.palette as u32);
             let distinct = deco_graph::coloring::distinct_colors(&colors);
             t.row([
                 name.to_string(),
@@ -97,9 +96,10 @@ pub fn run(rt: &Runtime) -> String {
                 "yes".to_string(),
             ]);
         }
-        // Luby-style randomized.
+        // Luby-style randomized, on the line graph.
         {
-            let net = Network::line(g, IdAssignment::Shuffled(9));
+            let lg = LineGraph::of(g);
+            let net = Network::new(lg.graph(), IdAssignment::Shuffled(9));
             let res =
                 luby::luby_list_coloring(&net, full_palette_lists(bound, g.num_edges()), 1234, rt)
                     .expect("luby terminates");

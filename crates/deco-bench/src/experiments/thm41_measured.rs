@@ -6,6 +6,7 @@ use crate::table::Table;
 use crate::workloads::{ids_for, mixed_suite};
 use deco_algos::luby;
 use deco_core::solver::{solve_two_delta_minus_one, SolverConfig};
+use deco_graph::LineGraph;
 use deco_local::{IdAssignment, Network};
 use deco_runtime::Runtime;
 use std::fmt::Write as _;
@@ -46,7 +47,8 @@ pub fn run(rt: &Runtime) -> String {
 
             // Luby baseline on the line graph with the same (2Δ−1) palette.
             let lists: Vec<Vec<u32>> = g.edges().map(|_| (0..bound as u32).collect()).collect();
-            let net = Network::line(g, IdAssignment::Shuffled(7));
+            let lg = LineGraph::of(g);
+            let net = Network::new(lg.graph(), IdAssignment::Shuffled(7));
             let lres = luby::luby_list_coloring(&net, lists, 99, rt).expect("luby terminates");
 
             t.row([

@@ -162,7 +162,7 @@ pub struct UpdateReportLine {
     pub palette_max: u32,
     /// The `2Δ − 1` bound of the post-update graph.
     pub palette_bound: u32,
-    /// Whether the repair escalated past the greedy step.
+    /// Always `false` (see `UpdateReport::escalated`); kept on the wire.
     pub escalated: bool,
     /// Color-probe messages delivered by the repair.
     pub messages: u64,

@@ -51,5 +51,5 @@ pub mod space;
 pub use instance::ListInstance;
 pub use jsonl::{RunReportLine, UpdateReportLine};
 pub use lists::{ColorList, SubspacePartition};
-pub use session::{Session, SessionError, UpdateReport};
+pub use session::{Session, UpdateReport};
 pub use solver::{RunReport, SolveBranch, SolveError, SolveStats, Solver, SolverConfig, Strategy};

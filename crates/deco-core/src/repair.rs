@@ -17,15 +17,8 @@
 //!   uncolored, then greedily recolored in decreasing edge-degree order —
 //!   each succeeds by the same inequality.
 //!
-//! The escalation ladder below the greedy step is *defensive*: with the true
-//! `2Δ − 1` bound it is provably unreachable, but the repair functions take
-//! the bound as a parameter (sessions could pin a tighter experimental
-//! palette), so exhaustion has a defined answer instead of a panic. Level 1
-//! uncolors the whole ball around the edge (every edge sharing an endpoint)
-//! and recolors it greedily, largest edge-degree first; level 2 — signalled
-//! by [`Repair::exhausted`] — tells the caller to fall back to a scoped
-//! re-solve of the full instance (the session runs `solve_pipeline` on the
-//! current snapshot).
+//! Both repairs compute the bound from the current graph
+//! ([`palette_bound`]), so the greedy step cannot run out of colors.
 //!
 //! Everything here is deterministic: probe orders are fixed by the overlay,
 //! sweep orders are explicitly sorted, and message counts are functions of
@@ -33,7 +26,7 @@
 //! reports on every engine.
 
 use deco_graph::coloring::{Color, EdgeColoring};
-use deco_graph::hashing::{DetHashMap, DetHashSet};
+use deco_graph::hashing::DetHashMap;
 use deco_graph::{Graph, MutableGraph, NodeId};
 
 /// The `(2Δ − 1)`-palette bound for a graph of maximum degree `max_degree`,
@@ -137,12 +130,6 @@ pub struct Repair {
     /// Color probes delivered: one message per adjacent colored edge
     /// consulted. A function of the graph alone — engine-independent.
     pub messages: u64,
-    /// Whether the ball-recolor escalation ran (the greedy single-edge step
-    /// found no free color — unreachable with the true `2Δ−1` bound).
-    pub escalated: bool,
-    /// Whether even the ball recolor exhausted the palette: the caller must
-    /// fall back to a full re-solve of the current snapshot.
-    pub exhausted: bool,
 }
 
 /// The line-graph degree of `{u, v}` in the live overlay:
@@ -176,107 +163,59 @@ fn smallest_free(
     used.iter().position(|&taken| !taken).map(|c| c as u32)
 }
 
-/// Repairs the coloring after `{u, v}` was inserted into `g`: the greedy
-/// single-edge step, escalating per the module docs when `bound` is too
-/// tight for it. `bound` is the palette bound of the *post-insert* graph.
-pub fn repair_insert(
-    g: &MutableGraph,
-    live: &mut LiveColoring,
-    u: NodeId,
-    v: NodeId,
-    bound: u32,
-) -> Repair {
-    let mut out = Repair {
-        messages: edge_degree(g, u, v),
-        ..Repair::default()
-    };
-    if let Some(c) = smallest_free(g, live, u, v, bound) {
-        live.set(u, v, c);
-        out.recolored = 1;
-        return out;
-    }
-    out.escalated = true;
-    out.exhausted = !recolor_ball(g, live, u, v, bound, &mut out);
-    out
+/// The smallest color below the `2Δ−1` bound of `g` that no colored edge
+/// at `u` or `v` holds. At most `deg(u) + deg(v) − 2 ≤ 2Δ − 2` of them are
+/// colored, so one is always free.
+fn free_color(g: &MutableGraph, live: &LiveColoring, u: NodeId, v: NodeId) -> Color {
+    smallest_free(g, live, u, v, palette_bound(g.max_degree()))
+        .expect("deg(e) ≤ 2Δ − 2 leaves a color free below 2Δ − 1")
 }
 
-/// Repairs the coloring after a removal shrank the palette bound: sweeps
-/// every edge colored `≥ bound` (uncolor all, then greedy recolor in
-/// decreasing edge-degree order). A no-op when the bound did not shrink
-/// below the palette high-water mark.
-pub fn repair_shrink(g: &MutableGraph, live: &mut LiveColoring, bound: u32) -> Repair {
+/// Repairs the coloring after `{u, v}` was inserted into `g`: the new edge
+/// takes the smallest color its neighbourhood does not use, below the
+/// post-insert `2Δ−1` bound.
+pub fn repair_insert(g: &MutableGraph, live: &mut LiveColoring, u: NodeId, v: NodeId) -> Repair {
+    live.set(u, v, free_color(g, live, u, v));
+    Repair {
+        recolored: 1,
+        messages: edge_degree(g, u, v),
+    }
+}
+
+/// Repairs the coloring after a removal from `g`: if the `2Δ−1` bound
+/// shrank below the palette high-water mark, every edge colored at or above
+/// it is uncolored, then greedily recolored in decreasing edge-degree order
+/// (ties broken by normalized endpoints, so the order is a fixed total
+/// order). A no-op otherwise.
+pub fn repair_shrink(g: &MutableGraph, live: &mut LiveColoring) -> Repair {
     let mut out = Repair::default();
+    let bound = palette_bound(g.max_degree());
     if live.palette_max() <= bound {
         return out;
     }
-    let over: Vec<(u32, u32)> = g
+    let mut over: Vec<(u32, u32)> = g
         .edge_list()
         .iter()
         .filter(|&&[a, b]| live.get(a, b).is_some_and(|c| c >= bound))
         .map(|&[a, b]| key(a, b))
         .collect();
-    out.exhausted = !recolor_set(g, live, over, bound, &mut out);
-    out
-}
-
-/// Level-1 escalation: uncolor the whole ball around `{u, v}` — every edge
-/// sharing an endpoint with it, itself included — and recolor greedily.
-fn recolor_ball(
-    g: &MutableGraph,
-    live: &mut LiveColoring,
-    u: NodeId,
-    v: NodeId,
-    bound: u32,
-    out: &mut Repair,
-) -> bool {
-    let mut seen = DetHashSet::default();
-    let mut ball: Vec<(u32, u32)> = Vec::new();
-    for a in [u, v] {
-        for &w in g.neighbors(a) {
-            let k = key(a, w);
-            if seen.insert(k) {
-                ball.push(k);
-            }
-        }
-    }
-    recolor_set(g, live, ball, bound, out)
-}
-
-/// Uncolors `edges`, then greedily recolors them in decreasing
-/// edge-degree order (ties broken by normalized endpoints — the
-/// conflict-free tie-break: a fixed total order means no two concurrent
-/// repairs ever race for a color). Returns `false` if any edge found no
-/// free color; partially-recolored state is left for the caller's full
-/// re-solve, which overwrites everything anyway.
-fn recolor_set(
-    g: &MutableGraph,
-    live: &mut LiveColoring,
-    mut edges: Vec<(u32, u32)>,
-    bound: u32,
-    out: &mut Repair,
-) -> bool {
-    for &(a, b) in &edges {
+    for &(a, b) in &over {
         live.clear(NodeId(a), NodeId(b));
     }
-    edges.sort_by_key(|&(a, b)| {
+    over.sort_by_key(|&(a, b)| {
         (
             std::cmp::Reverse(edge_degree(g, NodeId(a), NodeId(b))),
             a,
             b,
         )
     });
-    for (a, b) in edges {
+    for (a, b) in over {
         let (a, b) = (NodeId(a), NodeId(b));
         out.messages += edge_degree(g, a, b);
-        match smallest_free(g, live, a, b, bound) {
-            Some(c) => {
-                live.set(a, b, c);
-                out.recolored += 1;
-            }
-            None => return false,
-        }
+        live.set(a, b, free_color(g, live, a, b));
+        out.recolored += 1;
     }
-    true
+    out
 }
 
 #[cfg(test)]
@@ -318,10 +257,10 @@ mod tests {
                     continue;
                 }
                 g.insert_edge(NodeId(u), NodeId(v)).unwrap();
-                let bound = palette_bound(g.max_degree());
-                let rep = repair_insert(&g, &mut live, NodeId(u), NodeId(v), bound);
+                let rep = repair_insert(&g, &mut live, NodeId(u), NodeId(v));
                 assert_eq!(rep.recolored, 1);
-                assert!(!rep.escalated && !rep.exhausted);
+                let c = live.get(NodeId(u), NodeId(v)).expect("colored");
+                assert!(c < palette_bound(g.max_degree()));
                 assert_eq!(rep.messages, edge_degree(&g, NodeId(u), NodeId(v)));
                 inserted += 1;
             }
@@ -344,51 +283,18 @@ mod tests {
         for leaf in [8u32, 7, 6, 5] {
             g.remove_edge(NodeId(0), NodeId(leaf)).unwrap();
             live.clear(NodeId(0), NodeId(leaf));
-            let bound = palette_bound(g.max_degree());
-            let rep = repair_shrink(&g, &mut live, bound);
-            assert!(!rep.exhausted);
-            assert_proper(&g, &live, bound);
+            repair_shrink(&g, &mut live);
+            assert_proper(&g, &live, palette_bound(g.max_degree()));
         }
         // Δ is now 4: every color must sit under 7.
         assert!(live.palette_max() <= palette_bound(4));
     }
 
     #[test]
-    fn tight_bound_escalates_to_the_ball_and_succeeds_when_feasible() {
-        // Path 0-1-2 colored {0, 1}; insert {0, 2} closing a triangle with
-        // an artificially tight bound of 3 (true bound for Δ=2 is 3 too, so
-        // use colors that block the greedy step): color both path edges so
-        // the new edge sees {0, 1} and must take 2 — now pin bound = 2 to
-        // force escalation.
-        let mut g = MutableGraph::new(3);
-        g.insert_edge(NodeId(0), NodeId(1)).unwrap();
-        g.insert_edge(NodeId(1), NodeId(2)).unwrap();
-        let mut live = LiveColoring::default();
-        live.set(NodeId(0), NodeId(1), 0);
-        live.set(NodeId(1), NodeId(2), 1);
-        g.insert_edge(NodeId(0), NodeId(2)).unwrap();
-        let rep = repair_insert(&g, &mut live, NodeId(0), NodeId(2), 2);
-        // Bound 2 on a triangle is infeasible (χ' = 3): ball runs, then
-        // exhausts — the caller's cue for a full re-solve.
-        assert!(rep.escalated && rep.exhausted);
-
-        // With bound 3 the greedy step succeeds directly.
-        let mut live2 = LiveColoring::default();
-        live2.set(NodeId(0), NodeId(1), 0);
-        live2.set(NodeId(1), NodeId(2), 1);
-        let rep2 = repair_insert(&g, &mut live2, NodeId(0), NodeId(2), 3);
-        assert!(!rep2.escalated);
-        assert_eq!(live2.get(NodeId(0), NodeId(2)), Some(2));
-    }
-
-    #[test]
     fn ball_escalation_reshuffles_a_blocked_neighborhood() {
-        // Star K_{1,3} colored {0,1,2} with bound 3 (< true bound 5): the
-        // greedy step for a 4th leaf edge fails, but the ball recolor also
-        // fails (4 center edges, 3 colors) — exhausted. With bound 4 the
-        // greedy step succeeds immediately. The interesting middle case:
-        // free a color by *mis-distributing* low colors so only the ball
-        // pass can fix it.
+        // Star K_{1,3} colored {1,2,3}, leaving color 0 free: the insert of
+        // a 4th leaf edge (Δ = 4, bound 7) sees {1,2,3} used at the center
+        // and takes 0 directly, with nothing else recolored.
         let mut g = MutableGraph::new(5);
         for leaf in 1..=3u32 {
             g.insert_edge(NodeId(0), NodeId(leaf)).unwrap();
@@ -396,11 +302,10 @@ mod tests {
         let mut live = LiveColoring::default();
         live.set(NodeId(0), NodeId(1), 1);
         live.set(NodeId(0), NodeId(2), 2);
-        live.set(NodeId(0), NodeId(3), 3); // color 0 unused, but 3 ≥ bound 3…
+        live.set(NodeId(0), NodeId(3), 3);
         g.insert_edge(NodeId(0), NodeId(4)).unwrap();
-        // Bound 4: greedy sees {1,2,3} used → takes 0 directly.
-        let rep = repair_insert(&g, &mut live, NodeId(0), NodeId(4), 4);
-        assert!(!rep.escalated);
+        let rep = repair_insert(&g, &mut live, NodeId(0), NodeId(4));
+        assert_eq!(rep.recolored, 1);
         assert_eq!(live.get(NodeId(0), NodeId(4)), Some(0));
         assert_eq!(live.palette_max(), 4);
     }
@@ -449,15 +354,11 @@ mod tests {
             };
             if update.is_insert() {
                 g.insert_edge(u, v).unwrap();
-                let bound = palette_bound(g.max_degree());
-                let rep = repair_insert(&g, &mut live, u, v, bound);
-                assert!(!rep.exhausted, "true bound never exhausts");
+                repair_insert(&g, &mut live, u, v);
             } else {
                 g.remove_edge(u, v).unwrap();
                 live.clear(u, v);
-                let bound = palette_bound(g.max_degree());
-                let rep = repair_shrink(&g, &mut live, bound);
-                assert!(!rep.exhausted, "true bound never exhausts");
+                repair_shrink(&g, &mut live);
             }
             assert_proper(&g, &live, palette_bound(g.max_degree()));
         }

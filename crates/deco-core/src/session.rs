@@ -5,10 +5,9 @@
 //! every [`Session::apply`] routes through the incremental repair path
 //! ([`crate::repair`]) instead of re-running the pipeline: an insert costs
 //! one greedy probe of the edge's ball, a removal at most a palette-shrink
-//! sweep. The escalation ladder (ball recolor, then a scoped re-solve of
-//! the current snapshot on the session's [`Runtime`]) is wired in but
-//! unreachable at the true `2Δ − 1` bound — the repair module's docs carry
-//! the proof sketch.
+//! sweep. At the `2Δ − 1` bound the greedy step always finds a free color
+//! (the repair module's docs carry the proof sketch), so an update never
+//! re-solves and can fail only on an invalid mutation.
 //!
 //! The one-shot [`solve_two_delta_minus_one`](crate::solver::solve_two_delta_minus_one)
 //! is a thin wrapper over open + report, so static and dynamic callers
@@ -35,47 +34,7 @@ use crate::solver::{solve_pipeline, RunReport, SolveError, SolverConfig};
 use deco_graph::{EdgeUpdate, Graph, MutableGraph, MutateError};
 use deco_local::CostNode;
 use deco_runtime::Runtime;
-use std::fmt;
 use std::time::{Duration, Instant};
-
-/// Failure of a session operation.
-#[derive(Debug, Clone, PartialEq)]
-pub enum SessionError {
-    /// The solver failed structurally (base solve or an escalated re-solve).
-    Solve(SolveError),
-    /// The graph mutation was rejected; the session state is unchanged.
-    Mutate(MutateError),
-}
-
-impl fmt::Display for SessionError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SessionError::Solve(e) => e.fmt(f),
-            SessionError::Mutate(e) => e.fmt(f),
-        }
-    }
-}
-
-impl std::error::Error for SessionError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            SessionError::Solve(e) => Some(e),
-            SessionError::Mutate(e) => Some(e),
-        }
-    }
-}
-
-impl From<SolveError> for SessionError {
-    fn from(e: SolveError) -> SessionError {
-        SessionError::Solve(e)
-    }
-}
-
-impl From<MutateError> for SessionError {
-    fn from(e: MutateError) -> SessionError {
-        SessionError::Mutate(e)
-    }
-}
 
 /// What one [`Session::apply`] did.
 ///
@@ -95,7 +54,8 @@ pub struct UpdateReport {
     /// The `2Δ − 1` palette bound of the post-update graph. Always
     /// `≥ palette_max`.
     pub palette_bound: u32,
-    /// Whether the repair escalated past the greedy single-edge step.
+    /// Always `false`: the greedy single-edge step cannot fail at the
+    /// `2Δ − 1` bound. Kept because the wire's `UpdateReportLine` carries it.
     pub escalated: bool,
     /// Color-probe messages the repair delivered (engine-independent).
     pub messages: u64,
@@ -122,9 +82,6 @@ impl UpdateReport {
 /// module docs.
 #[derive(Debug, Clone)]
 pub struct Session {
-    config: SolverConfig,
-    rt: Runtime,
-    node_ids: Vec<u64>,
     graph: MutableGraph,
     live: LiveColoring,
     base: RunReport,
@@ -132,7 +89,6 @@ pub struct Session {
     repair_rounds: u64,
     repair_messages: u64,
     recolored_total: u64,
-    resolves: u64,
     repair_wall: Duration,
 }
 
@@ -155,9 +111,6 @@ impl Session {
         let base = solve_pipeline(g, inst, node_ids, config, rt)?;
         let live = LiveColoring::from_graph(g, &base.colors);
         Ok(Session {
-            config,
-            rt: *rt,
-            node_ids: node_ids.to_vec(),
             graph: MutableGraph::from_graph(g),
             live,
             base,
@@ -165,7 +118,6 @@ impl Session {
             repair_rounds: 0,
             repair_messages: 0,
             recolored_total: 0,
-            resolves: 0,
             repair_wall: Duration::ZERO,
         })
     }
@@ -174,27 +126,21 @@ impl Session {
     ///
     /// # Errors
     ///
-    /// [`SessionError::Mutate`] when the update is invalid (the session is
-    /// unchanged); [`SessionError::Solve`] when an escalated re-solve fails
-    /// structurally.
-    pub fn apply(&mut self, update: EdgeUpdate) -> Result<UpdateReport, SessionError> {
+    /// [`MutateError`] when the update is invalid; the session is then
+    /// unchanged.
+    pub fn apply(&mut self, update: EdgeUpdate) -> Result<UpdateReport, MutateError> {
         let start = Instant::now();
-        let mut rep = match update {
+        let rep = match update {
             EdgeUpdate::Insert { u, v } => {
                 self.graph.insert_edge(u, v)?;
-                let bound = repair::palette_bound(self.graph.max_degree());
-                repair::repair_insert(&self.graph, &mut self.live, u, v, bound)
+                repair::repair_insert(&self.graph, &mut self.live, u, v)
             }
             EdgeUpdate::Remove { u, v } => {
                 self.graph.remove_edge(u, v)?;
                 self.live.clear(u, v);
-                let bound = repair::palette_bound(self.graph.max_degree());
-                repair::repair_shrink(&self.graph, &mut self.live, bound)
+                repair::repair_shrink(&self.graph, &mut self.live)
             }
         };
-        if rep.exhausted {
-            self.resolve_from_scratch(&mut rep)?;
-        }
         self.updates += 1;
         self.recolored_total += rep.recolored;
         self.repair_messages += rep.messages;
@@ -209,26 +155,10 @@ impl Session {
             recolored: rep.recolored,
             palette_max: self.live.palette_max(),
             palette_bound: repair::palette_bound(self.graph.max_degree()),
-            escalated: rep.escalated,
+            escalated: false,
             messages: rep.messages,
             wall_time,
         })
-    }
-
-    /// Level-2 escalation: re-solve the current snapshot through the full
-    /// pipeline on the session's runtime and adopt its coloring.
-    /// Unreachable at the true `2Δ − 1` bound; kept correct for callers of
-    /// the repair layer that pin tighter palettes.
-    fn resolve_from_scratch(&mut self, rep: &mut repair::Repair) -> Result<(), SessionError> {
-        let snap = self.graph.snapshot().clone();
-        let inst = crate::instance::two_delta_minus_one(&snap);
-        let fresh = solve_pipeline(&snap, inst, &self.node_ids, self.config, &self.rt)?;
-        rep.recolored = snap.num_edges() as u64;
-        rep.messages += fresh.messages;
-        self.repair_rounds += fresh.rounds;
-        self.live = LiveColoring::from_graph(&snap, &fresh.colors);
-        self.resolves += 1;
-        Ok(())
     }
 
     /// A [`RunReport`] describing the session so far: the base solve plus
@@ -268,11 +198,6 @@ impl Session {
     /// Total edges recolored across all updates.
     pub fn recolored_total(&self) -> u64 {
         self.recolored_total
-    }
-
-    /// Times the session escalated to a full re-solve (0 at the true bound).
-    pub fn resolves(&self) -> u64 {
-        self.resolves
     }
 
     /// The live palette high-water mark.
@@ -342,7 +267,6 @@ mod tests {
         let snap = s.graph().clone();
         check_edge_coloring(&snap, &report.colors).expect("proper after churn");
         assert_eq!(s.num_updates(), 2);
-        assert_eq!(s.resolves(), 0, "true bound never re-solves");
     }
 
     #[test]
@@ -365,11 +289,11 @@ mod tests {
         let before = s.report();
         assert!(matches!(
             s.apply(EdgeUpdate::insert(3u32, 3u32)),
-            Err(SessionError::Mutate(MutateError::Invalid(_)))
+            Err(MutateError::Invalid(_))
         ));
         assert!(matches!(
             s.apply(EdgeUpdate::remove(0u32, 3u32)),
-            Err(SessionError::Mutate(MutateError::MissingEdge { .. }))
+            Err(MutateError::MissingEdge { .. })
         ));
         assert_eq!(s.num_updates(), 0);
         assert_eq!(s.report().colors, before.colors);
@@ -394,18 +318,5 @@ mod tests {
                 .collect::<Vec<_>>()
         };
         assert_eq!(run(&rt), run(&rt));
-    }
-
-    #[test]
-    fn session_error_formats_and_chains() {
-        let solve: SessionError = SolveError::DepthExceeded { depth: 1, limit: 1 }.into();
-        assert!(solve.to_string().contains("depth 1"));
-        let mutate: SessionError = MutateError::MissingEdge {
-            u: NodeId(0),
-            v: NodeId(1),
-        }
-        .into();
-        assert!(mutate.to_string().contains("not in the graph"));
-        assert!(std::error::Error::source(&mutate).is_some());
     }
 }

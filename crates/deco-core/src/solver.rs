@@ -58,7 +58,7 @@ use deco_algos::{class_elimination, edge_adapter, linial};
 use deco_graph::coloring::{Color, EdgeColoring};
 use deco_graph::{EdgeId, Graph};
 use deco_local::math::harmonic;
-use deco_local::{CostNode, Network};
+use deco_local::CostNode;
 use deco_runtime::Runtime;
 use std::borrow::Cow;
 use std::fmt;
@@ -594,18 +594,16 @@ impl Solver {
         let initial: Vec<u64> = x_coloring.iter().map(|&c| u64::from(c)).collect();
         let lin = linial::color_line_from_initial(g, initial, u64::from(x_palette).max(2));
         let palette = u32::try_from(lin.palette).expect("constant-degree palettes are small");
-        // Class elimination picks each edge's smallest color that no
-        // neighbour holds; at most deg(e) colors are held, so that color is
-        // always among the list's first deg(e)+1 and the rest never matter.
-        // It reads the neighbours off the line view (IDs are unused; the
-        // network just needs some for bookkeeping).
+        // Class elimination picks each edge's smallest color that no edge
+        // at either endpoint holds; at most deg(e) colors are held, so that
+        // color is always among the list's first deg(e)+1 and the rest
+        // never matter.
         let lists: Vec<Vec<Color>> = g
             .edges()
             .map(|e| inst.list(e).iter().take(g.edge_degree(e) + 1).collect())
             .collect();
-        let net = Network::line(g, deco_local::IdAssignment::Sequential);
         let (colors, elim_rounds) =
-            class_elimination::list_color_by_classes(&net, &lists, &lin.colors, palette);
+            class_elimination::list_color_by_classes(g, &lists, &lin.colors, palette);
         let cost = CostNode::seq(
             format!("base-case(Δ̄={})", g.max_edge_degree()),
             vec![

@@ -2,8 +2,7 @@
 //! identical to the serial reference runner — same outputs, same round
 //! count, same message count, same errors — on every scenario of the
 //! matrix, for every protocol, at 1, 2 and 4 threads, on both sides of
-//! [`MIN_PARALLEL_SLOTS`]. A line network (`Network::line`) must behave
-//! exactly like a network over the materialized line graph.
+//! [`MIN_PARALLEL_SLOTS`].
 //!
 //! This is what makes the engine safe to substitute anywhere: parallelism
 //! is pure implementation detail.
@@ -11,7 +10,6 @@
 use deco_engine::par::MIN_PARALLEL_SLOTS;
 use deco_engine::protocols::{FloodMax, PortEcho, StaggeredSum};
 use deco_engine::{GraphSpec, ParallelExecutor, ScenarioMatrix};
-use deco_graph::{Graph, LineGraph};
 use deco_local::network::{IdAssignment, Network};
 use deco_local::runner::{self, NodeProgram, Protocol, RunError, RunOutcome};
 
@@ -58,73 +56,28 @@ where
     }
 }
 
-/// Runs one protocol on the line view of `g` and on the materialized line
-/// graph with the same IDs, under serial and the barrier engine at every
-/// thread count, and demands that every run match serial on the
-/// materialized graph.
-fn line_differential<P>(name: &str, g: &Graph, ids: &[u64], protocol: &P, max_rounds: u64)
-where
-    P: Protocol,
-    P::Program: Send,
-    <P::Program as NodeProgram>::Msg: Send + Sync,
-    <P::Program as NodeProgram>::Output: Send + PartialEq + std::fmt::Debug,
-{
-    let lg = LineGraph::of(g);
-    let materialized = Network::with_ids(lg.graph(), ids.to_vec());
-    let view = Network::line_with_ids(g, ids.to_vec());
-    let oracle = runner::run(&materialized, protocol, max_rounds);
-    let serial = runner::run(&view, protocol, max_rounds);
-    assert_identical(&format!("{name} view/serial"), &oracle, &serial);
-    for t in THREAD_COUNTS {
-        let engine = ParallelExecutor::with_threads(t);
-        let on_view = engine.execute(&view, protocol, max_rounds);
-        assert_identical(&format!("{name} view/barrier/t={t}"), &oracle, &on_view);
-        let on_lg = engine.execute(&materialized, protocol, max_rounds);
-        assert_identical(&format!("{name} L(G)/barrier/t={t}"), &oracle, &on_lg);
-    }
-}
-
-/// The three stock protocols on one line network: `PortEcho` digests
-/// `(port, sender id)`, so it checks port order; `StaggeredSum` mixes
-/// silent ports and staggered halting; `FloodMax` checks reach.
-fn line_protocols(name: &str, g: &Graph, ids: &[u64]) {
-    line_differential(&format!("{name}/echo"), g, ids, &PortEcho { rounds: 3 }, 10);
-    line_differential(
-        &format!("{name}/staggered"),
-        g,
-        ids,
-        &StaggeredSum { spread: 6 },
-        20,
-    );
-    line_differential(
-        &format!("{name}/flood"),
-        g,
-        ids,
-        &FloodMax { radius: 5 },
-        50,
-    );
-}
-
-#[test]
-fn line_networks_match_materialized_line_graphs() {
-    let matrix = ScenarioMatrix::standard(404);
-    for s in matrix.iter() {
-        let g = s.graph();
-        let ids = Network::line(&g, s.id_assignment()).ids().to_vec();
-        line_protocols(&s.name, &g, &ids);
-    }
-}
-
 #[test]
 fn line_network_crosses_parallel_threshold() {
-    use deco_graph::generators;
+    use deco_graph::{generators, LineGraph};
     let g = generators::random_regular(200, 8, 23);
-    let net = Network::line(&g, IdAssignment::SparseRandom(6));
+    let lg = LineGraph::of(&g);
+    let net = Network::new(lg.graph(), IdAssignment::SparseRandom(6));
     assert!(
         net.num_ports() >= MIN_PARALLEL_SLOTS,
         "must exercise the threaded path"
     );
-    line_protocols("line(regular(200,8))", &g, net.ids());
+    // `PortEcho` digests `(port, sender id)`, so it checks port order;
+    // `StaggeredSum` mixes silent ports and staggered halting; `FloodMax`
+    // checks reach.
+    let name = "line(regular(200,8))";
+    differential(&format!("{name}/echo"), &net, &PortEcho { rounds: 3 }, 10);
+    differential(
+        &format!("{name}/staggered"),
+        &net,
+        &StaggeredSum { spread: 6 },
+        20,
+    );
+    differential(&format!("{name}/flood"), &net, &FloodMax { radius: 5 }, 50);
 }
 
 #[test]

@@ -310,7 +310,7 @@ pub fn kronecker(scale: u32, edge_factor: usize, seed: u64) -> Graph {
     let target = edge_factor * n;
     let mut rng = StdRng::seed_from_u64(seed);
     let mut chosen = DetHashSet::with_capacity_and_hasher(target * 2, Default::default());
-    let mut builder = crate::Builder::with_capacity(n, target);
+    let mut builder = GraphBuilder::with_capacity(n, target);
     let mut attempts = 0usize;
     let max_attempts = target.saturating_mul(32).max(1024);
     while builder.num_edges() < target && attempts < max_attempts {
@@ -337,9 +337,7 @@ pub fn kronecker(scale: u32, edge_factor: usize, seed: u64) -> Graph {
         }
         let key = if u < v { (u, v) } else { (v, u) };
         if chosen.insert(key) {
-            builder
-                .add_edge(u, v)
-                .expect("kronecker samples are in range and loop-free");
+            builder.add_edge(NodeId::from(u), NodeId::from(v));
         }
     }
     builder.build().expect("kronecker edges are deduplicated")

@@ -60,7 +60,7 @@ impl std::error::Error for BuildGraphError {}
 /// The one edge-validation rule every construction surface shares: rejects
 /// self-loops and out-of-range endpoints, and returns the edge normalized
 /// (smaller endpoint first). Duplicate detection is *not* done here — it is
-/// global, and each surface decides where to pay for it (the builders defer
+/// global, and each surface decides where to pay for it (the builder defers
 /// it to the O(n + m) stamp sweep in [`assemble_csr`]; the mutable overlay
 /// checks its live index on insert).
 pub(crate) fn validate_edge(
@@ -80,7 +80,11 @@ pub(crate) fn validate_edge(
 }
 
 /// Incrementally collects nodes and edges, then validates and freezes them
-/// into a [`Graph`].
+/// into a [`Graph`]: the one construction path, from hand-written graphs to
+/// million-edge loads. [`GraphBuilder::with_capacity`] pre-sizes the edge
+/// vector, and [`GraphBuilder::build`] runs degree count → prefix sum →
+/// scatter in O(n + m), with duplicate detection by a stamp sweep over the
+/// scattered adjacency lists.
 ///
 /// # Examples
 ///
@@ -114,7 +118,9 @@ impl GraphBuilder {
     }
 
     /// Creates a builder for `n` nodes with room for `m` edges, so bulk
-    /// loaders (the edge-list readers) avoid amortized reallocation.
+    /// loaders (the generators, the edge-list readers, the mutable graph's
+    /// CSR view) avoid amortized reallocation. The capacity is a hint, not
+    /// a cap.
     pub fn with_capacity(n: usize, m: usize) -> Self {
         GraphBuilder {
             n,
@@ -127,15 +133,19 @@ impl GraphBuilder {
         self.n
     }
 
+    /// Number of edges added so far.
+    pub fn num_edges(&self) -> usize {
+        self.edges.len()
+    }
+
     /// Adds the undirected edge `{u, v}`. Order of endpoints is irrelevant.
     ///
     /// This is the *lenient* path: it accepts anything, and all validation
     /// (self-loops, duplicates, range) is deferred to
     /// [`GraphBuilder::build`], so callers can add edges in bulk and get
     /// one error at the end. When an invalid edge should be reported at its
-    /// insertion site instead — the contract the bulk
-    /// [`Builder`](crate::Builder) and
-    /// [`MutableGraph`](crate::MutableGraph) already enforce — use
+    /// insertion site instead — the contract
+    /// [`MutableGraph`](crate::MutableGraph) enforces — use
     /// [`GraphBuilder::try_add_edge`].
     pub fn add_edge(&mut self, u: NodeId, v: NodeId) -> &mut Self {
         self.edges.push([u, v]);
@@ -143,9 +153,9 @@ impl GraphBuilder {
     }
 
     /// Adds the undirected edge `{u, v}`, validating everything local to
-    /// the edge immediately through the same shared rule as the bulk
-    /// [`Builder`](crate::Builder) (duplicate detection remains global and
-    /// stays at [`GraphBuilder::build`]).
+    /// the edge immediately, so a bad edge is reported at its insertion
+    /// site, not at the end of a million-edge load. Duplicate detection is
+    /// global and stays at [`GraphBuilder::build`].
     ///
     /// # Errors
     ///
@@ -157,19 +167,19 @@ impl GraphBuilder {
         Ok(self)
     }
 
-    /// Validates and freezes the builder into an immutable [`Graph`].
+    /// Validates and freezes the builder into an immutable [`Graph`] in
+    /// O(n + m). The edges are normalized in place; their order is the
+    /// [`EdgeId`] order.
     ///
     /// # Errors
     ///
     /// Returns [`BuildGraphError`] if any edge is a self-loop, a duplicate,
     /// or references a node outside `0..n`.
-    pub fn build(self) -> Result<Graph, BuildGraphError> {
-        let n = self.n;
-        let mut normalized: Vec<[NodeId; 2]> = Vec::with_capacity(self.edges.len());
-        for &[u, v] in &self.edges {
-            normalized.push(validate_edge(n, u, v)?);
+    pub fn build(mut self) -> Result<Graph, BuildGraphError> {
+        for edge in &mut self.edges {
+            *edge = validate_edge(self.n, edge[0], edge[1])?;
         }
-        assemble_csr(n, normalized)
+        assemble_csr(self.n, self.edges)
     }
 }
 
@@ -205,28 +215,18 @@ pub(crate) fn assemble_csr(
         };
         normalized.len() * 2
     ];
-    // Mirror-port table, built alongside the adjacency lists: slot k of
-    // the CSR arena (node v, port j, edge e) stores the port index of e
-    // at the *other* endpoint.
-    let mut back_ports = vec![0u32; normalized.len() * 2];
     for (idx, [u, v]) in normalized.iter().enumerate() {
         let e = EdgeId::from(idx);
-        let u_slot = cursor[u.index()];
-        adjacency[u_slot] = Adjacent {
+        adjacency[cursor[u.index()]] = Adjacent {
             neighbor: *v,
             edge: e,
         };
         cursor[u.index()] += 1;
-        let v_slot = cursor[v.index()];
-        adjacency[v_slot] = Adjacent {
+        adjacency[cursor[v.index()]] = Adjacent {
             neighbor: *u,
             edge: e,
         };
         cursor[v.index()] += 1;
-        let u_port = u_slot - offsets[u.index()];
-        let v_port = v_slot - offsets[v.index()];
-        back_ports[u_slot] = u32::try_from(v_port).expect("degree fits u32");
-        back_ports[v_slot] = u32::try_from(u_port).expect("degree fits u32");
     }
     // Duplicate sweep: `stamp[w] == v` iff `w` already appeared in `v`'s
     // list during this scan (node ids are strictly increasing across outer
@@ -250,7 +250,6 @@ pub(crate) fn assemble_csr(
         edges: normalized,
         offsets,
         adjacency,
-        back_ports,
     })
 }
 
@@ -263,11 +262,12 @@ pub struct Adjacent {
     pub edge: EdgeId,
 }
 
-/// Borrowed views of the four CSR arrays, in declaration order:
-/// `(edges, offsets, adjacency, back_ports)`.
-pub(crate) type CsrParts<'a> = (&'a [[NodeId; 2]], &'a [usize], &'a [Adjacent], &'a [u32]);
+/// Borrowed views of the three CSR arrays, in declaration order:
+/// `(edges, offsets, adjacency)`.
+pub(crate) type CsrParts<'a> = (&'a [[NodeId; 2]], &'a [usize], &'a [Adjacent]);
 
-/// An immutable undirected simple graph in CSR form.
+/// An immutable undirected simple graph in CSR form: the edge list, the
+/// per-node offsets, and the adjacency arena they index.
 ///
 /// Nodes are `NodeId(0..n)`, edges are `EdgeId(0..m)` in insertion order.
 /// Endpoints of each edge are stored with the smaller node id first.
@@ -276,9 +276,6 @@ pub struct Graph {
     edges: Vec<[NodeId; 2]>,
     offsets: Vec<usize>,
     adjacency: Vec<Adjacent>,
-    /// `back_ports[offsets[v] + j]` is the port index of edge
-    /// `adjacent(v)[j].edge` at the other endpoint (the "mirror port").
-    back_ports: Vec<u32>,
 }
 
 impl Graph {
@@ -378,30 +375,6 @@ impl Graph {
         self.adjacent(v).iter().map(|a| a.edge)
     }
 
-    /// Mirror ports of `v`, aligned with [`Graph::adjacent`]: entry `j` is
-    /// the port index of `adjacent(v)[j].edge` at the neighboring endpoint
-    /// (the edge that leaves `v` through port `j` enters
-    /// `adjacent(v)[j].neighbor` through port `back_ports(v)[j]`).
-    ///
-    /// Precomputed at build time. The `.snap` v1 format stores the table,
-    /// and loading a snapshot validates it against the adjacency.
-    #[inline]
-    pub fn back_ports(&self, v: NodeId) -> &[u32] {
-        &self.back_ports[self.offsets[v.index()]..self.offsets[v.index() + 1]]
-    }
-
-    /// The port index at which `adjacent(v)[port].neighbor` sees the edge
-    /// `adjacent(v)[port].edge`. O(1).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `port >= degree(v)`.
-    #[inline]
-    pub fn back_port(&self, v: NodeId, port: usize) -> usize {
-        assert!(port < self.degree(v), "port {port} out of range for {v}");
-        self.back_ports[self.offsets[v.index()] + port] as usize
-    }
-
     /// Looks up the edge `{u, v}` if it exists.
     pub fn edge_between(&self, u: NodeId, v: NodeId) -> Option<EdgeId> {
         // Scan the smaller adjacency list.
@@ -460,36 +433,28 @@ impl Graph {
         &self.edges
     }
 
-    /// The raw CSR arrays `(edges, offsets, adjacency, back_ports)`, for the
-    /// binary snapshot writer. Internal: the layout is an implementation
-    /// detail of this module.
+    /// The raw CSR arrays `(edges, offsets, adjacency)`, for the binary
+    /// snapshot writer. Internal: the layout is an implementation detail of
+    /// this module.
     pub(crate) fn csr_parts(&self) -> CsrParts<'_> {
-        (
-            &self.edges,
-            &self.offsets,
-            &self.adjacency,
-            &self.back_ports,
-        )
+        (&self.edges, &self.offsets, &self.adjacency)
     }
 
     /// Reassembles a graph from raw CSR arrays without re-deriving them.
     ///
     /// Internal, for the binary snapshot reader, which structurally
     /// validates every array (monotone offsets, endpoint/adjacency
-    /// coherence, back-port involution, duplicate-freeness) before calling
-    /// this. Feeding unvalidated arrays here would break `Graph`'s
-    /// invariants silently.
+    /// coherence, duplicate-freeness) before calling this. Feeding
+    /// unvalidated arrays here would break `Graph`'s invariants silently.
     pub(crate) fn from_csr_parts(
         edges: Vec<[NodeId; 2]>,
         offsets: Vec<usize>,
         adjacency: Vec<Adjacent>,
-        back_ports: Vec<u32>,
     ) -> Graph {
         Graph {
             edges,
             offsets,
             adjacency,
-            back_ports,
         }
     }
 }
@@ -592,48 +557,71 @@ mod tests {
     }
 
     #[test]
-    fn back_ports_mirror_the_adjacency() {
-        // On several shapes: following port j from v and then the recorded
-        // back port from the neighbor must land back on (v, j).
-        for g in [
-            triangle(),
-            Graph::from_edges(4, [(0, 1), (0, 2), (0, 3)]).unwrap(),
-            Graph::from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (0, 3)]).unwrap(),
-        ] {
-            for v in g.nodes() {
-                for (j, adj) in g.adjacent(v).iter().enumerate() {
-                    let back = g.back_port(v, j);
-                    let mirror = g.adjacent(adj.neighbor)[back];
-                    assert_eq!(mirror.edge, adj.edge, "same edge through the mirror port");
-                    assert_eq!(mirror.neighbor, v, "mirror port points back");
-                    assert_eq!(g.back_port(adj.neighbor, back), j, "involution");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn back_ports_agree_with_linear_scan() {
-        let g = Graph::from_edges(5, [(0, 1), (1, 2), (2, 0), (3, 1), (4, 2)]).unwrap();
-        for v in g.nodes() {
-            for (j, adj) in g.adjacent(v).iter().enumerate() {
-                let scanned = g
-                    .adjacent(adj.neighbor)
-                    .iter()
-                    .position(|a| a.edge == adj.edge)
-                    .expect("edge appears at both endpoints");
-                assert_eq!(g.back_port(v, j), scanned);
-            }
-        }
-    }
-
-    #[test]
     fn empty_graph() {
         let g = Graph::empty(5);
         assert_eq!(g.num_nodes(), 5);
         assert_eq!(g.num_edges(), 0);
         assert_eq!(g.max_degree(), 0);
         assert_eq!(g.max_edge_degree(), 0);
+    }
+
+    #[test]
+    fn try_add_edge_matches_add_edge_output_exactly() {
+        let pairs = [(0u32, 3u32), (1, 2), (3, 1), (0, 2), (4, 0)];
+        let mut checked = GraphBuilder::with_capacity(5, pairs.len());
+        let mut lenient = GraphBuilder::new(5);
+        for (u, v) in pairs {
+            checked.try_add_edge(NodeId(u), NodeId(v)).unwrap();
+            lenient.add_edge(NodeId(u), NodeId(v));
+        }
+        assert_eq!(checked.build().unwrap(), lenient.build().unwrap());
+    }
+
+    #[test]
+    fn try_add_edge_rejects_self_loop_at_insertion() {
+        let mut b = GraphBuilder::new(3);
+        assert_eq!(
+            b.try_add_edge(NodeId(1), NodeId(1)).unwrap_err(),
+            BuildGraphError::SelfLoop { node: NodeId(1) }
+        );
+        assert_eq!(b.num_edges(), 0, "a rejected edge is not kept");
+    }
+
+    #[test]
+    fn try_add_edge_rejects_out_of_range_at_insertion() {
+        let mut b = GraphBuilder::new(3);
+        assert_eq!(
+            b.try_add_edge(NodeId(0), NodeId(7)).unwrap_err(),
+            BuildGraphError::NodeOutOfRange {
+                node: NodeId(7),
+                n: 3
+            }
+        );
+        assert_eq!(b.num_edges(), 0, "a rejected edge is not kept");
+    }
+
+    #[test]
+    fn try_add_edge_leaves_duplicates_to_build() {
+        let mut b = GraphBuilder::new(3);
+        b.try_add_edge(NodeId(0), NodeId(1)).unwrap();
+        b.try_add_edge(NodeId(1), NodeId(0)).unwrap();
+        assert_eq!(
+            b.build().unwrap_err(),
+            BuildGraphError::DuplicateEdge {
+                u: NodeId(0),
+                v: NodeId(1)
+            }
+        );
+    }
+
+    #[test]
+    fn capacity_is_a_hint_not_a_cap() {
+        let mut b = GraphBuilder::with_capacity(4, 1);
+        b.add_edge(NodeId(0), NodeId(1));
+        b.add_edge(NodeId(1), NodeId(2));
+        b.add_edge(NodeId(2), NodeId(3));
+        assert_eq!(b.num_edges(), 3);
+        assert_eq!(b.build().unwrap().num_edges(), 3);
     }
 
     #[test]

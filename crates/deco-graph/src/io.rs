@@ -9,8 +9,9 @@
 //!   in memory twice.
 //! - **Binary snapshot** (`DECOSNAP` magic + version + little-endian CSR
 //!   arrays): the million-edge format. [`write_snapshot`] dumps the built
-//!   CSR arrays verbatim; [`read_snapshot`] loads them back in O(read) plus
-//!   one structural validation pass — no text parsing, no re-sorting, no
+//!   CSR arrays verbatim, plus a mirror-port section it derives from the
+//!   adjacency; [`read_snapshot`] loads them back in O(read) plus one
+//!   structural validation pass — no text parsing, no re-sorting, no
 //!   adjacency reconstruction.
 //!
 //! ## Snapshot layout (version 1, all integers little-endian)
@@ -21,15 +22,20 @@
 //! 8       4          version  u32 (currently 1)
 //! 12      8          n  u64 (node count)
 //! 20      8          m  u64 (edge count)
-//! 28      m × 8      edges       [u: u32, v: u32] per edge, u < v
-//! …       (n+1) × 8  offsets     u64 prefix sums, offsets[n] == 2m
-//! …       2m × 8     adjacency   [neighbor: u32, edge: u32] per port slot
-//! …       2m × 4     back_ports  u32 mirror port per slot
+//! 28      m × 8      edges         [u: u32, v: u32] per edge, u < v
+//! …       (n+1) × 8  offsets       u64 prefix sums, offsets[n] == 2m
+//! …       2m × 8     adjacency     [neighbor: u32, edge: u32] per port slot
+//! …       2m × 4     mirror_ports  u32 mirror port per slot
 //! ```
+//!
+//! Slot `offsets[v] + j` of `mirror_ports` is the port at which the
+//! neighbour behind `v`'s port `j` sees the same edge. [`Graph`] does not
+//! keep this table: the writer derives it from the adjacency, and the
+//! reader checks it and drops it.
 //!
 //! The reader rejects anything incoherent — bad magic, unknown version,
 //! truncation, trailing bytes, non-monotone offsets, out-of-range ids,
-//! broken back-port involutions, duplicate edges — so a loaded [`Graph`]
+//! broken mirror-port involutions, duplicate edges — so a loaded [`Graph`]
 //! carries exactly the invariants a built one does.
 
 use crate::{Adjacent, EdgeId, Graph, GraphBuilder, NodeId};
@@ -232,13 +238,34 @@ impl From<std::io::Error> for SnapshotError {
     }
 }
 
+/// The snapshot's mirror-port section, derived from the adjacency: slot
+/// `offsets[v] + j` holds the port at which `v`'s `j`-th neighbour sees the
+/// same edge. `ports[e]` records edge `e`'s port at its smaller and at its
+/// larger endpoint.
+fn mirror_ports(g: &Graph) -> Vec<u32> {
+    let mut ports = vec![[0u32; 2]; g.num_edges()];
+    for v in g.nodes() {
+        for (j, a) in g.adjacent(v).iter().enumerate() {
+            let j = u32::try_from(j).expect("degree fits u32");
+            ports[a.edge.index()][usize::from(v > a.neighbor)] = j;
+        }
+    }
+    let mut back = Vec::with_capacity(g.degree_sum());
+    for v in g.nodes() {
+        for a in g.adjacent(v) {
+            back.push(ports[a.edge.index()][usize::from(a.neighbor > v)]);
+        }
+    }
+    back
+}
+
 /// Writes `g` as a binary CSR snapshot (see the module docs for the layout).
 ///
 /// # Errors
 ///
 /// Returns [`SnapshotError::Io`] if the writer fails.
 pub fn write_snapshot<W: Write>(g: &Graph, mut w: W) -> Result<(), SnapshotError> {
-    let (edges, offsets, adjacency, back_ports) = g.csr_parts();
+    let (edges, offsets, adjacency) = g.csr_parts();
     w.write_all(&SNAPSHOT_MAGIC)?;
     w.write_all(&SNAPSHOT_VERSION.to_le_bytes())?;
     w.write_all(&(g.num_nodes() as u64).to_le_bytes())?;
@@ -265,8 +292,8 @@ pub fn write_snapshot<W: Write>(g: &Graph, mut w: W) -> Result<(), SnapshotError
     }
     w.write_all(&buf)?;
     buf.clear();
-    buf.reserve(back_ports.len() * 4);
-    for p in back_ports {
+    buf.reserve(adjacency.len() * 4);
+    for p in mirror_ports(g) {
         buf.extend_from_slice(&p.to_le_bytes());
     }
     w.write_all(&buf)?;
@@ -383,8 +410,8 @@ pub fn read_snapshot<R: Read>(mut r: R) -> Result<Graph, SnapshotError> {
         });
     }
 
-    let bp_bytes = read_section(&mut r, 2 * m * 4, "back_ports")?;
-    let back_ports: Vec<u32> = bp_bytes.chunks_exact(4).map(le_u32).collect();
+    let bp_bytes = read_section(&mut r, 2 * m * 4, "mirror_ports")?;
+    let mirror_ports: Vec<u32> = bp_bytes.chunks_exact(4).map(le_u32).collect();
 
     let mut trailing = [0u8; 1];
     match r.read(&mut trailing) {
@@ -393,22 +420,23 @@ pub fn read_snapshot<R: Read>(mut r: R) -> Result<Graph, SnapshotError> {
         Err(e) => return Err(SnapshotError::Io(e)),
     }
 
-    validate_csr(n, m, &edges, &offsets, &adjacency, &back_ports)?;
-    Ok(Graph::from_csr_parts(edges, offsets, adjacency, back_ports))
+    validate_csr(n, m, &edges, &offsets, &adjacency, &mirror_ports)?;
+    Ok(Graph::from_csr_parts(edges, offsets, adjacency))
 }
 
 /// Structural validation: every invariant `assemble_csr` establishes must
-/// hold for the deserialized arrays before they become a [`Graph`].
+/// hold for the deserialized arrays before they become a [`Graph`], and
+/// the mirror-port section must be the one [`write_snapshot`] derives.
 fn validate_csr(
     n: usize,
     m: usize,
     edges: &[[NodeId; 2]],
     offsets: &[usize],
     adjacency: &[Adjacent],
-    back_ports: &[u32],
+    mirror_ports: &[u32],
 ) -> Result<(), SnapshotError> {
     debug_assert_eq!(adjacency.len(), 2 * m);
-    debug_assert_eq!(back_ports.len(), 2 * m);
+    debug_assert_eq!(mirror_ports.len(), 2 * m);
     // Each edge id must appear on exactly two port slots (one per endpoint).
     let mut slots_per_edge = vec![0u8; m];
     // Stamp sweep doubling as the duplicate-edge check, as in the builder.
@@ -417,7 +445,7 @@ fn validate_csr(
         let (start, end) = (offsets[v], offsets[v + 1]);
         for (j, (a, bp)) in adjacency[start..end]
             .iter()
-            .zip(&back_ports[start..end])
+            .zip(&mirror_ports[start..end])
             .enumerate()
         {
             let w = a.neighbor.index();
@@ -439,14 +467,14 @@ fn validate_csr(
             let w_deg = offsets[w + 1] - offsets[w];
             let bp = *bp as usize;
             if bp >= w_deg {
-                return Err(SnapshotError::Malformed("back port out of range"));
+                return Err(SnapshotError::Malformed("mirror port out of range"));
             }
             let mirror = &adjacency[offsets[w] + bp];
             if mirror.edge != a.edge || mirror.neighbor.index() != v {
-                return Err(SnapshotError::Malformed("back port is not an involution"));
+                return Err(SnapshotError::Malformed("mirror port is not an involution"));
             }
-            if back_ports[offsets[w] + bp] as usize != j {
-                return Err(SnapshotError::Malformed("back port is not an involution"));
+            if mirror_ports[offsets[w] + bp] as usize != j {
+                return Err(SnapshotError::Malformed("mirror port is not an involution"));
             }
             let count = &mut slots_per_edge[a.edge.index()];
             *count = count.saturating_add(1);
@@ -580,6 +608,28 @@ mod tests {
     }
 
     #[test]
+    fn snapshot_bytes_are_pinned() {
+        // A triangle with a pendant edge. The last line is the mirror-port
+        // row the writer derives. v1 has one encoding per graph, so these
+        // bytes must not move.
+        let g = Graph::from_edges(4, [(0, 1), (2, 1), (0, 2), (3, 2)]).unwrap();
+        let pinned = concat!(
+            "4445434f534e41500100000004000000000000000400000000000000",
+            "0000000001000000010000000200000000000000020000000200000003000000",
+            "0000000000000000020000000000000004000000000000000700000000000000",
+            "0800000000000000",
+            "0100000000000000020000000200000000000000000000000200000001000000",
+            "0100000001000000000000000200000003000000030000000200000003000000",
+            "0000000001000000000000000000000001000000010000000000000002000000",
+        );
+        let mut bytes = Vec::new();
+        write_snapshot(&g, &mut bytes).unwrap();
+        let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(hex, pinned);
+        assert_eq!(read_snapshot(&bytes[..]).unwrap(), g);
+    }
+
+    #[test]
     fn snapshot_rejects_bad_magic() {
         let mut bytes = Vec::new();
         write_snapshot(&generators::petersen(), &mut bytes).unwrap();
@@ -606,7 +656,7 @@ mod tests {
         let mut bytes = Vec::new();
         write_snapshot(&generators::petersen(), &mut bytes).unwrap();
         // Cut the stream at a few strategic places: inside the header, the
-        // edge array, and the final back-ports array.
+        // edge array, and the final mirror-ports array.
         for cut in [4, 20, 40, bytes.len() - 3] {
             assert!(
                 matches!(
@@ -654,7 +704,7 @@ mod tests {
         ));
         let bp_start = adj_start + g.degree_sum() * 8;
         let mut corrupt = clean;
-        corrupt[bp_start] ^= 0x01; // first back port
+        corrupt[bp_start] ^= 0x01; // first mirror port
         assert!(matches!(
             read_snapshot(&corrupt[..]),
             Err(SnapshotError::Malformed(_))

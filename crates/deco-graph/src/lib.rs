@@ -26,7 +26,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod builder;
 pub mod coloring;
 pub mod dot;
 pub mod generators;
@@ -39,7 +38,6 @@ mod mutable;
 mod subgraph;
 pub mod traversal;
 
-pub use builder::Builder;
 pub use graph::{Adjacent, BuildGraphError, Graph, GraphBuilder};
 pub use ids::{EdgeId, NodeId};
 pub use line_graph::LineGraph;

@@ -8,11 +8,15 @@
 //!
 //! In the LOCAL model a round of an algorithm on `L(G)` is simulated by a
 //! constant number of rounds on `G` (adjacent edges share a node that can
-//! relay), which is why the workspace runs vertex-coloring algorithms on
-//! line graphs. It does so on `deco_local::Network::line`, a view that reads
-//! `L(G)` off `G`'s arrays; no solve builds `L(G)`. [`LineGraph::of`]
-//! materializes it, with `Θ(Σ_v deg(v)²)` edges, as the oracle the view is
-//! tested against and for measuring that cost.
+//! relay), which is why vertex-coloring algorithms color edges when run on
+//! line graphs. No solve builds `L(G)`: an edge's neighbourhood in it is
+//! the other edges at its two endpoints, and the solver's Linial runs,
+//! class elimination and residual lists read those off `G`.
+//! [`LineGraph::of`] materializes `L(G)`, with `Θ(Σ_v deg(v)²)` edges, for
+//! the randomized Luby baseline, for the message-passing oracles the
+//! endpoint computations are tested against, and for measuring that cost.
+//! Node `i` is edge `EdgeId(i)`, and node `i`'s ports list the other edges
+//! at `i`'s smaller endpoint, then those at its larger one.
 
 use crate::{EdgeId, Graph, GraphBuilder, NodeId};
 

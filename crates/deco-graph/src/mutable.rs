@@ -2,11 +2,11 @@
 //! CSR-compatible views.
 //!
 //! Every engine in this workspace executes over the immutable CSR
-//! [`Graph`] — flat arenas, mirror ports, dense edge ids. A production
-//! scheduler, though, faces link arrivals and removals every second, and
-//! rebuilding the CSR per update only to answer "what are `v`'s neighbors
-//! now?" wastes the locality the paper's machinery buys. [`MutableGraph`]
-//! splits the two concerns:
+//! [`Graph`] — flat arenas, dense edge ids. A production scheduler, though,
+//! faces link arrivals and removals every second, and rebuilding the CSR
+//! per update only to answer "what are `v`'s neighbors now?" wastes the
+//! locality the paper's machinery buys. [`MutableGraph`] splits the two
+//! concerns:
 //!
 //! * **The live overlay** answers adjacency queries in O(deg): a live edge
 //!   vector (whose order *is* the edge-id order of the next snapshot), a
@@ -14,12 +14,12 @@
 //!   and a degree histogram for O(1) amortized Δ tracking. Inserts append;
 //!   removals swap-remove — both O(deg) and deterministic, so a replayed
 //!   trace reproduces the same overlay bit for bit.
-//! * **The CSR view** is rebuilt on demand through the shared bulk
-//!   [`Builder`] (degree-count → prefix-sum → scatter, back-port coherence
-//!   included) and cached until the next mutation: [`MutableGraph::snapshot`]
-//!   is O(n + m) after a mutation and O(1) until the next one.
+//! * **The CSR view** is rebuilt on demand through [`GraphBuilder`]
+//!   (degree-count → prefix-sum → scatter) and cached until the next
+//!   mutation: [`MutableGraph::snapshot`] is O(n + m) after a mutation and
+//!   O(1) until the next one.
 //!
-//! Edge validation is the *shared* rule of the builders
+//! Edge validation is the *shared* rule of the builder
 //! ([`BuildGraphError`]): self-loops and out-of-range endpoints are rejected
 //! at the mutation site, and duplicates — global by nature — are rejected
 //! against the live index instead of a deferred sweep.
@@ -42,7 +42,7 @@
 
 use crate::graph::validate_edge;
 use crate::hashing::DetHashMap;
-use crate::{BuildGraphError, Builder, Graph, NodeId};
+use crate::{BuildGraphError, Graph, GraphBuilder, NodeId};
 use std::fmt;
 
 /// One edge mutation, the unit a churn trace replays and a
@@ -320,11 +320,9 @@ impl MutableGraph {
         }
     }
 
-    /// The CSR view of the live overlay, rebuilt through the shared bulk
-    /// [`Builder`] on the first call after a mutation and cached until the
-    /// next one. Edge ids follow [`MutableGraph::edge_list`] order;
-    /// back-port coherence comes from the builder, same as any other
-    /// [`Graph`].
+    /// The CSR view of the live overlay, rebuilt through [`GraphBuilder`]
+    /// on the first call after a mutation and cached until the next one.
+    /// Edge ids follow [`MutableGraph::edge_list`] order.
     pub fn snapshot(&mut self) -> &Graph {
         if self.snapshot.is_none() {
             self.snapshot = Some(self.build_csr());
@@ -347,12 +345,12 @@ impl MutableGraph {
     }
 
     fn build_csr(&self) -> Graph {
-        let mut b = Builder::with_capacity(self.n, self.edges.len());
+        let mut b = GraphBuilder::with_capacity(self.n, self.edges.len());
         for &[u, v] in &self.edges {
-            b.add_edge(u.index(), v.index())
-                .expect("live edges are validated");
+            b.add_edge(u, v);
         }
-        b.build().expect("live index keeps edges duplicate-free")
+        b.build()
+            .expect("live edges are validated and duplicate-free")
     }
 
     fn bump_degree(&mut self, from: usize, to: usize) {
@@ -400,7 +398,7 @@ mod tests {
     use super::*;
     use crate::generators;
 
-    type Digest = (Vec<[u32; 2]>, Vec<Vec<(u32, u32)>>, Vec<Vec<u32>>);
+    type Digest = (Vec<[u32; 2]>, Vec<Vec<(u32, u32)>>);
 
     fn digest(g: &Graph) -> Digest {
         let edges = g.edge_list().iter().map(|[u, v]| [u.0, v.0]).collect();
@@ -413,8 +411,7 @@ mod tests {
                     .collect()
             })
             .collect();
-        let back_ports = g.nodes().map(|v| g.back_ports(v).to_vec()).collect();
-        (edges, adjacency, back_ports)
+        (edges, adjacency)
     }
 
     #[test]

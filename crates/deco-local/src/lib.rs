@@ -9,9 +9,9 @@
 //! Three layers:
 //!
 //! * [`network`] / [`runner`] — a faithful port-numbered synchronous
-//!   executor for per-node state machines ([`runner::NodeProgram`]), on a
-//!   graph or on its line graph read off the graph's arrays. [`run`] is
-//!   the reference every faster engine is held to.
+//!   executor for per-node state machines ([`runner::NodeProgram`]) on a
+//!   CSR graph with IDs. [`run`] is the reference every faster engine is
+//!   held to.
 //! * [`cost`] — round accounting for *phase-structured* algorithms: cost
 //!   trees with sequential (sum) and parallel (max) composition, carrying
 //!   both the actually-used rounds and the fixed-schedule budget.

@@ -1,26 +1,20 @@
 //! Port-numbered synchronous networks (the LOCAL model, §2.2 of the paper).
 //!
-//! A [`Network`] wraps a communication topology plus a unique-identifier
-//! assignment from `{1, …, n^O(1)}`. Nodes know `n`, `Δ`, and their own ID;
-//! they communicate with neighbors through numbered ports. All of this is
-//! exactly the knowledge the LOCAL model grants.
+//! A [`Network`] is a CSR [`Graph`] plus a unique-identifier assignment
+//! from `{1, …, n^O(1)}`. Nodes know `n`, `Δ`, and their own ID; they
+//! communicate with neighbors through numbered ports, port `i` of `v` being
+//! `adjacent(v)[i]`. All of this is exactly the knowledge the LOCAL model
+//! grants.
 //!
-//! The topology is a CSR [`Graph`] or the line graph `L(G)` of one, read on
-//! the fly from `G`'s arrays ([`Network::line`]). Node `e = {u, v}` (`u < v`)
-//! of the line view has `deg(u) + deg(v) − 2` ports: first `adj(u) ∖ e`,
-//! then `adj(v) ∖ e`, the order `LineGraph::of` assigns. One round on `L(G)`
-//! costs `O(1)` rounds on `G` (a shared endpoint relays), and the view runs
-//! a line-graph protocol port by port without the `Θ(Σ_v deg(v)²)` graph:
-//! the base case's class elimination, the related-work protocols, and the
-//! oracle that Linial decided at the endpoints
-//! (`deco_algos::linial::color_line_from_initial`) is held to.
+//! A line-graph protocol runs on `LineGraph::of(g)`, whose node `i` is edge
+//! `EdgeId(i)` of `g`. No solve does: the X-coloring, the base cases and the
+//! Lemma 4.2 residual lists all decide at an edge's two endpoints. The
+//! related-work Luby runs and the oracle tests build `L(G)` for it.
 
 use deco_graph::hashing::DetHashSet;
-use deco_graph::{Adjacent, EdgeId, Graph, NodeId};
+use deco_graph::{Graph, NodeId};
 use rand::prelude::*;
 use rand::rngs::StdRng;
-use std::iter::Chain;
-use std::slice;
 
 /// How unique IDs are assigned to nodes, for adversarial testing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -70,30 +64,20 @@ impl IdAssignment {
     }
 }
 
-/// The graph a network runs on.
-#[derive(Debug, Clone, Copy)]
-enum Topology<'g> {
-    /// The graph itself.
-    Graph(&'g Graph),
-    /// The line graph of the graph: node `i` is edge `EdgeId(i)`.
-    Line(&'g Graph),
-}
-
-/// A LOCAL-model network: topology + ID assignment.
+/// A LOCAL-model network: a CSR graph plus an ID assignment.
 #[derive(Debug, Clone)]
 pub struct Network<'g> {
-    topology: Topology<'g>,
+    graph: &'g Graph,
     ids: Vec<u64>,
     // Cached global knowledge (ctx() is on the per-node per-round hot path).
     max_degree: usize,
     max_id: u64,
-    num_ports: usize,
 }
 
 impl<'g> Network<'g> {
     /// Builds a network over `graph` with the given ID assignment.
     pub fn new(graph: &'g Graph, assignment: IdAssignment) -> Network<'g> {
-        Network::with_cached(Topology::Graph(graph), assignment.ids(graph.num_nodes()))
+        Network::with_cached(graph, assignment.ids(graph.num_nodes()))
     }
 
     /// Builds a network with explicit IDs.
@@ -103,32 +87,7 @@ impl<'g> Network<'g> {
     /// Panics if `ids` has the wrong length, contains zero, or has
     /// duplicates.
     pub fn with_ids(graph: &'g Graph, ids: Vec<u64>) -> Network<'g> {
-        Network::checked(Topology::Graph(graph), ids)
-    }
-
-    /// Builds a network over the line graph `L(g)`, one node per edge of
-    /// `g` (node `i` is `EdgeId(i)`), with the given ID assignment.
-    pub fn line(g: &'g Graph, assignment: IdAssignment) -> Network<'g> {
-        Network::with_cached(Topology::Line(g), assignment.ids(g.num_edges()))
-    }
-
-    /// Builds a network over the line graph `L(g)` with explicit IDs, one
-    /// per edge of `g`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ids` has the wrong length, contains zero, or has
-    /// duplicates.
-    pub fn line_with_ids(g: &'g Graph, ids: Vec<u64>) -> Network<'g> {
-        Network::checked(Topology::Line(g), ids)
-    }
-
-    fn checked(topology: Topology<'g>, ids: Vec<u64>) -> Network<'g> {
-        let n = match topology {
-            Topology::Graph(g) => g.num_nodes(),
-            Topology::Line(g) => g.num_edges(),
-        };
-        assert_eq!(ids.len(), n, "one ID per node required");
+        assert_eq!(ids.len(), graph.num_nodes(), "one ID per node required");
         let mut sorted = ids.clone();
         sorted.sort_unstable();
         assert!(
@@ -139,31 +98,20 @@ impl<'g> Network<'g> {
             sorted.windows(2).all(|w| w[0] != w[1]),
             "IDs must be distinct"
         );
-        Network::with_cached(topology, ids)
+        Network::with_cached(graph, ids)
     }
 
-    fn with_cached(topology: Topology<'g>, ids: Vec<u64>) -> Network<'g> {
-        let (max_degree, num_ports) = match topology {
-            Topology::Graph(g) => (g.max_degree(), g.degree_sum()),
-            // `Σ_e (deg(u) + deg(v) − 2)`, which is `Σ_v deg(v)(deg(v) − 1)`
-            // summed over edges: the solver's leaves keep their parent's
-            // whole node set, and few of those nodes carry an edge.
-            Topology::Line(g) => (
-                g.max_edge_degree(),
-                g.edges().map(|e| g.edge_degree(e)).sum(),
-            ),
-        };
+    fn with_cached(graph: &'g Graph, ids: Vec<u64>) -> Network<'g> {
         let max_id = ids.iter().copied().max().unwrap_or(1);
         Network {
-            topology,
+            graph,
             ids,
-            max_degree,
+            max_degree: graph.max_degree(),
             max_id,
-            num_ports,
         }
     }
 
-    /// Number of nodes: `n` of the graph, or `m` of a line view.
+    /// Number of nodes.
     #[inline]
     pub fn num_nodes(&self) -> usize {
         self.ids.len()
@@ -172,33 +120,17 @@ impl<'g> Network<'g> {
     /// Number of ports of node `v`.
     #[inline]
     pub fn degree(&self, v: NodeId) -> usize {
-        match self.topology {
-            Topology::Graph(g) => g.degree(v),
-            Topology::Line(g) => g.edge_degree(EdgeId(v.0)),
-        }
+        self.graph.degree(v)
     }
 
     /// The neighbors of `v` in port order: the node behind port `i` comes
     /// `i`-th.
     #[inline]
-    pub fn neighbors(&self, v: NodeId) -> Neighbors<'g> {
-        match self.topology {
-            Topology::Graph(g) => Neighbors {
-                ports: g.adjacent(v).iter().chain(&[]),
-                line_of: None,
-            },
-            Topology::Line(g) => {
-                let e = EdgeId(v.0);
-                let [a, b] = g.endpoints(e);
-                Neighbors {
-                    ports: g.adjacent(a).iter().chain(g.adjacent(b)),
-                    line_of: Some(e),
-                }
-            }
-        }
+    pub fn neighbors(&self, v: NodeId) -> impl Iterator<Item = NodeId> + 'g {
+        self.graph.neighbors(v)
     }
 
-    /// Maximum degree Δ of the topology (0 without ports).
+    /// Maximum degree Δ of the graph (0 without ports).
     #[inline]
     pub fn max_degree(&self) -> usize {
         self.max_degree
@@ -208,7 +140,7 @@ impl<'g> Network<'g> {
     /// which every node broadcasts.
     #[inline]
     pub fn num_ports(&self) -> usize {
-        self.num_ports
+        self.graph.degree_sum()
     }
 
     /// The unique ID of node `v`.
@@ -239,28 +171,6 @@ impl<'g> Network<'g> {
             max_degree: self.max_degree,
             id_bound: self.max_id,
             degree: self.degree(v),
-        }
-    }
-}
-
-/// Iterator over a node's neighbors in port order, from
-/// [`Network::neighbors`].
-#[derive(Debug, Clone)]
-pub struct Neighbors<'g> {
-    ports: Chain<slice::Iter<'g, Adjacent>, slice::Iter<'g, Adjacent>>,
-    /// On a line view, the edge whose endpoints' adjacency lists `ports`
-    /// walks: it is skipped, and every other entry's edge is a neighbor.
-    line_of: Option<EdgeId>,
-}
-
-impl Iterator for Neighbors<'_> {
-    type Item = NodeId;
-
-    #[inline]
-    fn next(&mut self) -> Option<NodeId> {
-        match self.line_of {
-            None => self.ports.next().map(|a| a.neighbor),
-            Some(e) => self.ports.find(|a| a.edge != e).map(|a| NodeId(a.edge.0)),
         }
     }
 }
@@ -347,30 +257,6 @@ mod tests {
         assert_eq!(ctx.n, 4);
         assert_eq!(ctx.max_degree, 3);
         assert_eq!(ctx.id, 1);
-    }
-
-    #[test]
-    fn line_view_lists_both_endpoints_in_port_order() {
-        // Edges e0 = {0,1}, e1 = {1,2}, e2 = {2,3}, e3 = {1,4}.
-        let g = Graph::from_edges(5, [(0, 1), (1, 2), (2, 3), (1, 4)]).unwrap();
-        let net = Network::line(&g, IdAssignment::Sequential);
-        assert_eq!(net.num_nodes(), 4);
-        assert_eq!(net.ids(), &[1, 2, 3, 4]);
-        // e1: adj(1) ∖ e1 = [e0, e3], then adj(2) ∖ e1 = [e2].
-        let ports: Vec<NodeId> = net.neighbors(NodeId(1)).collect();
-        assert_eq!(ports, [NodeId(0), NodeId(3), NodeId(2)]);
-        assert_eq!(net.ctx(NodeId(1)).degree, 3);
-        assert_eq!(net.degree(NodeId(2)), 1);
-        assert_eq!(net.max_degree(), 3);
-        // Σ deg(v)(deg(v) − 1) over the degrees 1, 3, 2, 1, 1.
-        assert_eq!(net.num_ports(), 6 + 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "one ID per node")]
-    fn line_with_ids_wants_one_id_per_edge() {
-        let g = generators::path(3);
-        let _ = Network::line_with_ids(&g, vec![1, 2, 3]);
     }
 
     #[test]

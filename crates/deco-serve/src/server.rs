@@ -36,7 +36,7 @@ use crate::wire::{
 };
 use deco_core::jsonl::{RunReportLine, UpdateReportLine};
 use deco_core::solver::{solve_two_delta_minus_one, SolverConfig};
-use deco_core::{Session, SessionError};
+use deco_core::Session;
 use deco_graph::{EdgeUpdate, Graph};
 use deco_runtime::{Engine, Runtime};
 use deco_trace::json::Fields;
@@ -823,21 +823,7 @@ fn run_work(shared: &Shared, job: &Job, queue_ns: u64) {
                         },
                     );
                 }
-                Err(SessionError::Solve(e)) => send(
-                    shared,
-                    &job.conn,
-                    &ResponseFrame {
-                        id: job.id.clone(),
-                        resp: Response::Error {
-                            code: ErrorCode::Solve,
-                            message: e.to_string(),
-                            solve: Some(e),
-                        },
-                    },
-                ),
-                Err(SessionError::Mutate(e)) => {
-                    send_error(shared, &job.conn, &job.id, ErrorCode::Graph, e.to_string())
-                }
+                Err(e) => send_error(shared, &job.conn, &job.id, ErrorCode::Graph, e.to_string()),
             }
         }
         Work::CloseSession { session } => {

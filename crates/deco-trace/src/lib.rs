@@ -4,12 +4,19 @@
 //! # Design
 //!
 //! One process-global dispatch (in the style of the `log` crate) holds the
-//! active [`TraceSink`] plus an [`Aggregator`]. Instrumentation points call
-//! [`enabled`] — a single relaxed atomic load — before doing *anything*
-//! else: when tracing is off, no clock is read, no event is built, no lock
-//! is taken. The differential suites pin this observational neutrality by
-//! re-running every engine with tracing on and asserting bit-identical
-//! outputs.
+//! active [`TraceSink`]. Instrumentation points call [`enabled`] — a single
+//! relaxed atomic load — before doing *anything* else: when tracing is off,
+//! no clock is read, no event is built, no lock is taken. The differential
+//! suites pin this observational neutrality by re-running every engine with
+//! tracing on and asserting bit-identical outputs.
+//!
+//! Metrics are per thread. A [`run_scope`] opens a window on the calling
+//! thread's own [`Aggregator`], and every event that thread emits while the
+//! window is open is folded into it. Nested scopes on one thread share the
+//! window; scopes on different threads never see each other's events, so
+//! concurrent runs (the daemon's workers, parallel tests) each get their
+//! own report. Every span and count of a run is emitted on the thread that
+//! called it: the barrier engine's worker threads emit nothing.
 //!
 //! Three sinks ship in [`sink`]: [`NoopSink`] (default), [`RingSink`]
 //! (in-memory, for tests and experiments), and [`JsonlSink`] (one JSON line
@@ -57,8 +64,10 @@ pub use event::{Counter, Phase, TraceEvent};
 pub use metrics::{Aggregator, CounterStat, MetricsReport, PhaseStat, SampleStat};
 pub use sink::{JsonlSink, NoopSink, RingSink, TraceSink};
 
+use std::cell::RefCell;
+use std::marker::PhantomData;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
 use std::time::Instant;
 
@@ -141,10 +150,21 @@ impl TraceConfig {
 
 struct Dispatch {
     sink: Box<dyn TraceSink>,
-    agg: Mutex<Aggregator>,
-    /// Number of open [`RunScope`]s; the aggregator resets when the first
-    /// one opens so nested scopes share one accumulation window.
-    depth: AtomicU64,
+}
+
+/// One thread's metrics window: the aggregator its run scopes read, and
+/// how many of them are open. The aggregator resets when the first one
+/// opens, so nested scopes share one accumulation window.
+struct Window {
+    agg: Aggregator,
+    depth: u64,
+}
+
+thread_local! {
+    static WINDOW: RefCell<Window> = RefCell::new(Window {
+        agg: Aggregator::new(),
+        depth: 0,
+    });
 }
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
@@ -179,8 +199,6 @@ pub fn install(config: TraceConfig) -> std::io::Result<()> {
         TraceMode::Off => None,
         TraceMode::Ring => Some(Arc::new(Dispatch {
             sink: Box::new(RingSink::new()),
-            agg: Mutex::new(Aggregator::new()),
-            depth: AtomicU64::new(0),
         })),
         TraceMode::Jsonl => {
             let path = config
@@ -189,8 +207,6 @@ pub fn install(config: TraceConfig) -> std::io::Result<()> {
                 .unwrap_or_else(|| PathBuf::from(DEFAULT_JSONL_PATH));
             Some(Arc::new(Dispatch {
                 sink: Box::new(JsonlSink::create(Path::new(&path))?),
-                agg: Mutex::new(Aggregator::new()),
-                depth: AtomicU64::new(0),
             }))
         }
     };
@@ -205,18 +221,18 @@ pub fn install(config: TraceConfig) -> std::io::Result<()> {
     Ok(())
 }
 
-/// Emits one event to the active sink and folds it into the aggregator.
-/// No-op when tracing is off.
+/// Emits one event to the active sink and, inside a [`run_scope`], folds
+/// it into the calling thread's aggregator. No-op when tracing is off.
 pub fn emit(event: TraceEvent) {
     if !enabled() {
         return;
     }
-    with_dispatch(|d| {
-        if let Ok(mut agg) = d.agg.lock() {
-            agg.observe(&event);
+    WINDOW.with_borrow_mut(|w| {
+        if w.depth > 0 {
+            w.agg.observe(&event);
         }
-        d.sink.record(&event);
     });
+    with_dispatch(|d| d.sink.record(&event));
 }
 
 /// Emits a [`TraceEvent::Count`]. No-op when tracing is off.
@@ -288,11 +304,19 @@ pub fn round_span(phase: Phase, round: u64) -> Span {
     }
 }
 
-/// An open metrics accumulation window; see [`run_scope`].
+/// An open metrics accumulation window on the calling thread; see
+/// [`run_scope`]. It reads that thread's aggregator, so it cannot move to
+/// another thread:
+///
+/// ```compile_fail
+/// fn send<T: Send>(_: T) {}
+/// send(deco_trace::run_scope());
+/// ```
 #[derive(Debug)]
 #[must_use = "call finish() to obtain the MetricsReport"]
 pub struct RunScope {
     open: bool,
+    _thread_bound: PhantomData<*const ()>,
 }
 
 impl RunScope {
@@ -302,52 +326,47 @@ impl RunScope {
         if !self.open {
             return None;
         }
-        self.open = false;
         // Snapshot peak RSS before reading the aggregator so it lands in
         // this scope's report.
         if let Some(rss) = peak_rss_bytes() {
             sample(Counter::PeakRssBytes, rss);
         }
-        with_dispatch(|d| {
-            d.depth.fetch_sub(1, Ordering::AcqRel);
-            d.sink.flush();
-            d.agg.lock().ok().map(|agg| agg.report())
-        })
-        .flatten()
+        self.open = false;
+        let report = WINDOW.with_borrow_mut(|w| {
+            w.depth -= 1;
+            w.agg.report()
+        });
+        with_dispatch(|d| d.sink.flush()).map(|()| report)
     }
 }
 
 impl Drop for RunScope {
     fn drop(&mut self) {
         if self.open {
-            with_dispatch(|d| d.depth.fetch_sub(1, Ordering::AcqRel));
+            WINDOW.with_borrow_mut(|w| w.depth -= 1);
         }
     }
 }
 
-/// Opens a metrics accumulation window. The outermost scope resets the
-/// aggregator, so each top-level run (e.g. one `solve_pipeline` call) gets
-/// a fresh [`MetricsReport`]; nested scopes share the outer window.
-/// Returns an inert scope when tracing is off.
+/// Opens a metrics accumulation window on the calling thread. The
+/// thread's outermost scope resets its aggregator, so each top-level run
+/// (e.g. one `solve_pipeline` call) gets a fresh [`MetricsReport`]; nested
+/// scopes share the outer window. Returns an inert scope when tracing is
+/// off.
 pub fn run_scope() -> RunScope {
-    if !enabled() {
-        return RunScope { open: false };
-    }
-    let open = with_dispatch(|d| {
-        if d.depth.fetch_add(1, Ordering::AcqRel) == 0 {
-            if let Ok(mut agg) = d.agg.lock() {
-                agg.reset();
+    let open = enabled();
+    if open {
+        WINDOW.with_borrow_mut(|w| {
+            if w.depth == 0 {
+                w.agg.reset();
             }
-        }
-    })
-    .is_some();
-    RunScope { open }
-}
-
-/// Snapshot of the current aggregator totals without closing any scope.
-/// `None` when tracing is off.
-pub fn snapshot() -> Option<MetricsReport> {
-    with_dispatch(|d| d.agg.lock().ok().map(|agg| agg.report())).flatten()
+            w.depth += 1;
+        });
+    }
+    RunScope {
+        open,
+        _thread_bound: PhantomData,
+    }
 }
 
 /// Drains the ring sink's retained events (empty when the active sink does
@@ -446,7 +465,6 @@ mod tests {
             sample(Counter::PeakRssBytes, 3);
         }
         assert_eq!(scope.finish(), None);
-        assert_eq!(snapshot(), None);
         assert!(ring_events().is_empty());
     }
 
@@ -506,6 +524,27 @@ mod tests {
         let metrics = outer.finish().unwrap();
         // The earlier finished run (value 5) was reset away.
         assert_eq!(metrics.counter(Counter::Messages), Some(3));
+        install(TraceConfig::off()).unwrap();
+    }
+
+    #[test]
+    fn scopes_on_different_threads_keep_separate_windows() {
+        let _g = guard();
+        install(TraceConfig::ring()).unwrap();
+        let outer = run_scope();
+        count(Counter::Messages, 1);
+        std::thread::scope(|s| {
+            for value in [10, 100] {
+                s.spawn(move || {
+                    let scope = run_scope();
+                    count(Counter::Messages, value);
+                    let metrics = scope.finish().unwrap();
+                    assert_eq!(metrics.counter(Counter::Messages), Some(value));
+                });
+            }
+        });
+        let metrics = outer.finish().unwrap();
+        assert_eq!(metrics.counter(Counter::Messages), Some(1));
         install(TraceConfig::off()).unwrap();
     }
 

@@ -85,6 +85,6 @@ pub use deco_runtime as runtime;
 pub use deco_serve as serve;
 pub use deco_trace as trace;
 
-pub use deco_core::{Session, SessionError, UpdateReport};
+pub use deco_core::{Session, UpdateReport};
 pub use deco_graph::{EdgeUpdate, MutableGraph, MutateError};
 pub use deco_runtime::{Engine, Runtime, RuntimeBuilder};

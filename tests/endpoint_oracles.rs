@@ -1,28 +1,33 @@
-//! Oracles for the two computations that decide at an edge's endpoints
-//! instead of walking its line-graph neighbours.
+//! Oracles for the computations that decide at an edge's endpoints instead
+//! of walking its line-graph neighbours.
 //!
 //! * Linial on `L(G)` ([`linial::color_line_from_initial`]) must return
 //!   what the message-passing [`LinialProtocol`] returns when the serial
-//!   runner executes it on [`Network::line_with_ids`]: the same colors,
-//!   palette, rounds and messages. Covered: every scenario of the standard
-//!   matrix (its sparse-random ids give multi-step schedules), edgeless,
+//!   runner executes it on [`LineGraph::of`]: the same colors, palette,
+//!   rounds and messages. Covered: every scenario of the standard matrix
+//!   (its sparse-random ids give multi-step schedules), edgeless,
 //!   isolated-node, star and single-edge graphs, and leaf-sized subgraphs
 //!   that keep a large node set, seeded from a restricted X-coloring as the
 //!   solver's base case is.
+//! * Class elimination on `G` ([`class_elimination::list_color_by_classes`])
+//!   must return the colors [`class_elimination::ByClassesProtocol`]
+//!   returns on `L(G)`, over every scenario and the leaf-sized subgraphs.
 //! * The Lemma 4.2 residual lists ([`slack::residual_after_sweep`]), built
 //!   from endpoint palette rows, must equal each list with the colors of
 //!   its colored neighbours removed one by one, over seeded random partial
 //!   colorings whose colors reach into the palette's last word.
 
+use deco::algos::class_elimination;
 use deco::algos::edge_adapter::{edge_ids_by_pairing, linial_edge_coloring};
+use deco::algos::greedy::{greedy_edge_coloring, EdgeOrder};
 use deco::algos::linial::{self, LinialProtocol};
 use deco::core_alg::instance::{self, ListInstance};
 use deco::core_alg::slack;
 use deco::engine::ScenarioMatrix;
 use deco::graph::coloring::Color;
-use deco::graph::{generators, EdgeId, EdgeSubgraph, Graph};
+use deco::graph::{generators, EdgeId, EdgeSubgraph, Graph, LineGraph};
 use deco::local::runner;
-use deco::local::Network;
+use deco::local::{IdAssignment, Network};
 use deco::Runtime;
 use rand::prelude::*;
 use rand::rngs::StdRng;
@@ -30,7 +35,8 @@ use rand::rngs::StdRng;
 /// Runs Linial from `initial` (palette `m0`) both ways on `L(g)` and
 /// demands identical observables. Returns the schedule length.
 fn linial_oracle(name: &str, g: &Graph, ids: Vec<u64>, initial: Vec<u64>, m0: u64) -> u64 {
-    let net = Network::line_with_ids(g, ids);
+    let lg = LineGraph::of(g);
+    let net = Network::with_ids(lg.graph(), ids);
     let protocol = LinialProtocol::new(initial.clone(), m0, net.max_degree() as u64);
     let steps = protocol.schedule.rounds();
     let expected = runner::run(&net, &protocol, steps + 1).expect("fixed schedule halts");
@@ -146,6 +152,71 @@ fn linial_on_leaf_subgraphs_matches_the_protocol() {
             .collect();
         let ids = sequential_ids(leaf.graph().num_edges());
         linial_oracle(&format!("leaf {i}"), leaf.graph(), ids, initial, x.palette);
+    }
+}
+
+/// Class elimination from the proper edge coloring `initial` with seeded
+/// (deg(e)+1)-lists, both ways: at the endpoints on `g`, and as the
+/// protocol on `L(g)`.
+fn class_elimination_oracle(name: &str, g: &Graph, initial: Vec<u32>, classes: u32, seed: u64) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let c_max = 2 * g.max_edge_degree() as u32 + 2;
+    let lists: Vec<Vec<u32>> = g
+        .edges()
+        .map(|e| {
+            let mut all: Vec<u32> = (0..c_max).collect();
+            all.shuffle(&mut rng);
+            all.truncate(g.edge_degree(e) + 1);
+            all
+        })
+        .collect();
+    let (colors, rounds) = class_elimination::list_color_by_classes(g, &lists, &initial, classes);
+    let lg = LineGraph::of(g);
+    let net = Network::new(lg.graph(), IdAssignment::Sequential);
+    let (expected, mp_rounds) = class_elimination::list_color_by_classes_mp(
+        &net,
+        lists,
+        initial,
+        classes,
+        &Runtime::serial(),
+    )
+    .expect("fixed schedule halts");
+    assert_eq!(colors, expected, "[{name}] colors diverge");
+    if g.num_edges() > 0 {
+        // The protocol spends one more round announcing the last class.
+        assert_eq!(rounds + 1, mp_rounds, "[{name}] rounds diverge");
+    }
+}
+
+#[test]
+fn class_elimination_at_the_endpoints_matches_the_protocol() {
+    // Every scenario, from a greedy edge coloring (at most 2Δ − 1 classes).
+    for (i, s) in ScenarioMatrix::standard(23).iter().enumerate() {
+        let g = s.graph();
+        let greedy = greedy_edge_coloring(&g, EdgeOrder::ById);
+        let initial: Vec<u32> = g.edges().map(|e| greedy.get(e).unwrap()).collect();
+        let classes = initial.iter().max().map_or(1, |&c| c + 1);
+        class_elimination_oracle(&s.name, &g, initial, classes, i as u64);
+    }
+    // Leaves as the base case runs them: Linial from the restricted
+    // X-coloring, then one round per class.
+    let g = generators::kronecker(9, 8, 5);
+    let x = linial_edge_coloring(&g, &sequential_ids(g.num_nodes()), &Runtime::serial()).unwrap();
+    for (i, leaf) in leaves(&g, 13).iter().enumerate() {
+        let restricted: Vec<u64> = leaf
+            .edge_map()
+            .iter()
+            .map(|&pe| u64::from(x.coloring.get(pe).unwrap()))
+            .collect();
+        let lin = linial::color_line_from_initial(leaf.graph(), restricted, x.palette);
+        let classes = u32::try_from(lin.palette).unwrap();
+        class_elimination_oracle(
+            &format!("leaf {i}"),
+            leaf.graph(),
+            lin.colors,
+            classes,
+            40 + i as u64,
+        );
     }
 }
 

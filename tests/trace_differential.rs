@@ -4,7 +4,8 @@
 //! same rounds, same message totals. With tracing on, `RunReport.metrics`
 //! must be populated (pipeline span present, the traced `messages` counter
 //! equal to `RunReport.messages`) and every line of the JSONL file must
-//! parse back into the event enum. Runs as its own process, so installing
+//! parse back into the event enum. Concurrent solves on different threads
+//! each get their own metrics. Runs as its own process, so installing
 //! sinks here cannot race with other test binaries; the test fns serialize
 //! on a local mutex because the dispatch is process-global.
 
@@ -145,4 +146,37 @@ fn ring_mode_matches_jsonl_mode_observables() {
     assert_eq!(off.messages, ring.messages);
     let metrics = ring.metrics.expect("ring mode populates metrics");
     assert_eq!(metrics.counter(Counter::Messages), Some(ring.messages));
+}
+
+#[test]
+fn concurrent_solves_each_trace_their_own_messages() {
+    let _g = guard();
+    let g = Scenario::new(
+        GraphSpec::RandomRegular { n: 96, d: 8 },
+        IdFlavor::Shuffled,
+        5,
+    )
+    .graph();
+    let node_ids = ids(&g);
+    let _measure = deco::trace::measure();
+    let matched: usize = std::thread::scope(|s| {
+        let workers: Vec<_> = (0..4)
+            .map(|_| {
+                s.spawn(|| {
+                    (0..20)
+                        .filter(|_| {
+                            let report = solve(&Runtime::serial(), &g, &node_ids);
+                            let metrics = report.metrics.as_ref().expect("tracing is on");
+                            metrics.counter(Counter::Messages) == Some(report.messages)
+                        })
+                        .count()
+                })
+            })
+            .collect();
+        workers.into_iter().map(|w| w.join().unwrap()).sum()
+    });
+    assert_eq!(
+        matched, 80,
+        "every run's traced messages must equal its RunReport.messages"
+    );
 }
